@@ -253,6 +253,18 @@ print("BENCH_scaling.json OK:", len(verify), "determinism flags all 1")
 EOF
 rm -rf "${scale_dir}"
 
+echo "== e2e smoke: the repository benchmark at tiny sizes =="
+# bench/e2e/run.sh builds its own CMake project into build/e2e and runs every
+# BENCHMARK.json workload in a fresh process; it exits nonzero when a
+# correctness gate fails (step-10 energy bits, NVE drift, serve jobs bitwise
+# against a dedicated pool).  check_output.py then validates each result
+# against BENCHMARK.json: every end-to-end metric (untraced run) or
+# per-layer metric (traced run) present, finite and in its declared unit.
+bench/e2e/run.sh --smoke
+python3 bench/e2e/check_output.py BENCH_e2e.json
+bench/e2e/run.sh --smoke --trace
+python3 bench/e2e/check_output.py BENCH_e2e_trace.json
+
 echo "== forced-scalar: build + ctest with MWX_AVX2=OFF (scalar preset) =="
 # The bit-identity suites must hold in both ISAs: the vectorized lane loops
 # are value-preserving claims about *expressions*, not about AVX2.

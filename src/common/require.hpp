@@ -26,6 +26,14 @@ inline void require(bool condition, const std::string& message,
   }
 }
 
+// Literal-message form: builds no std::string unless the check fails, so a
+// per-element check (MolecularSystem::add_atom during a scene load) costs
+// only the comparison.
+inline void require(bool condition, const char* message,
+                    std::source_location loc = std::source_location::current()) {
+  if (!condition) require(false, std::string(message), loc);
+}
+
 }  // namespace mwx
 
 #ifdef NDEBUG

@@ -14,8 +14,7 @@
 //   abond <a> <b> <c> <k> <theta0>
 //   tbond <a> <b> <c> <d> <k> <n> <phi0>
 //
-// Lines beginning with '#' are comments.  Numbers are written with full
-// round-trip precision.
+// Lines beginning with '#' are comments.
 //
 // Version 2 ("mws 2") is the *checkpoint* form: the same records plus one
 // `acc <ax> <ay> <az>` and one `nref <x> <y> <z>` line per atom (in atom
@@ -28,11 +27,34 @@
 // accumulation and diverges the trajectory (see Engine::restore_continuation).
 // A v2 scene loaded as a plain scene (no nref receiver) is a valid ordinary
 // starting point: accelerations are applied, the nref snapshot is dropped.
+//
+// Accepted grammar (the reader):
+//   - Records end at '\n'.  A line that is empty or starts with '#' is
+//     skipped; any other line, whitespace-only included, is a record.
+//   - Fields are separated by runs of ' ', '\t', '\r', '\v' or '\f' (so
+//     CRLF files and leading blanks are accepted).
+//   - A real field is decimal floating point as strtod reads it in the C
+//     locale, with an optional leading '+' and no hex form.  Values must be
+//     finite: "nan", "inf" and anything that overflows (1e999) or underflows
+//     to zero (1e-400) are rejected; subnormals are accepted exactly.
+//   - An integer field is an optionally signed run of decimal digits that
+//     fits in an int; "1.5" or "1e3" in an integer field is rejected.
+//   - A type name is any run of non-separator bytes.
+//   - A record must have exactly its fields: a missing field or anything
+//     after the last one is rejected.
+//   Every rejection is a ContractError naming the line and the reason.
+//
+// The writer prints every real as printf("%.17g") (round-trip precision)
+// through std::to_chars and every int in decimal, one space between fields.
+// Output is independent of any stream state (precision, flags, locale):
+// the same system always gives the same bytes, which is what makes the text
+// a SceneCache key.
 #pragma once
 
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "md/system.hpp"
@@ -43,38 +65,39 @@ class FixedThreadPool;
 
 namespace mwx::md {
 
-// Writes `sys` in .mws form (version 1 — no checkpoint records; byte-stable).
-void save_scene(std::ostream& os, const MolecularSystem& sys);
+// Returns `sys` in .mws form (version 1 — no checkpoint records).  With a
+// pool, the per-atom records are formatted in `n_chunks` index-contiguous
+// ranges on the pool and joined in order; a record's bytes depend only on
+// its own fields, so the text is byte-identical to the serial call.
+[[nodiscard]] std::string format_scene(const MolecularSystem& sys,
+                                       parallel::FixedThreadPool* pool = nullptr,
+                                       int n_chunks = 1);
 
-// Chunked parallel serializer: the per-atom records fan out over
-// index-contiguous external-ID ranges, each chunk formatting into a private
-// buffer seeded with the output stream's formatting state (the same
-// setprecision(17) discipline), and the buffers are concatenated in chunk
-// order.  Record text depends only on the stream state and the record's own
-// fields, so the output is byte-identical to the serial overload — SceneCache
-// FNV hashes and checkpoint round-trips are unaffected.  Null pool falls
-// back to the serial path.
-void save_scene(std::ostream& os, const MolecularSystem& sys,
-                parallel::FixedThreadPool* pool, int n_chunks);
-
-// Writes `sys` as an "mws 2" checkpoint: version-1 records plus per-atom
+// Returns `sys` as an "mws 2" checkpoint: version-1 records plus per-atom
 // acc/nref lines.  `nlist_ref` is the neighbor list's reference-position
 // snapshot in *internal* index order (NeighborList::reference_positions());
 // like every per-atom record it is written in external-ID order, so the
-// checkpoint text is byte-stable across Morton reorders.
+// checkpoint text is byte-stable across Morton reorders.  Pool and chunks
+// as for format_scene (acc and nref records fan out too).
+[[nodiscard]] std::string format_checkpoint(const MolecularSystem& sys,
+                                            std::span<const Vec3> nlist_ref,
+                                            parallel::FixedThreadPool* pool = nullptr,
+                                            int n_chunks = 1);
+
+// Stream forms of the two writers above.
+void save_scene(std::ostream& os, const MolecularSystem& sys);
 void save_checkpoint_scene(std::ostream& os, const MolecularSystem& sys,
                            std::span<const Vec3> nlist_ref);
 
-// Chunked parallel checkpoint serializer (atom, acc and nref records all fan
-// out; byte-identical to the serial overload — see save_scene above).
-void save_checkpoint_scene(std::ostream& os, const MolecularSystem& sys,
-                           std::span<const Vec3> nlist_ref,
-                           parallel::FixedThreadPool* pool, int n_chunks);
+// Parses an .mws document (version 1 or 2); throws ContractError with a
+// line number on malformed input.  When `nlist_ref` is non-null it receives
+// the v2 nref snapshot (empty for v1 / plain v2 scenes); checkpoints written
+// by format_checkpoint always carry exactly one acc and one nref per atom.
+MolecularSystem load_scene(std::string_view text, std::vector<Vec3>* nlist_ref = nullptr);
 
-// Parses an .mws stream (version 1 or 2); throws ContractError with a line
-// number on malformed input.  When `nlist_ref` is non-null it receives the
-// v2 nref snapshot (empty for v1 / plain v2 scenes); checkpoints written by
-// save_checkpoint_scene always carry exactly one acc and one nref per atom.
+// The same parser fed from `is` in fixed-size blocks (an unfinished line is
+// carried into the next block), so the reader never holds more than a block
+// and the longest line, not a copy of the whole text.
 MolecularSystem load_scene(std::istream& is, std::vector<Vec3>* nlist_ref = nullptr);
 
 // File-path conveniences.

@@ -1,6 +1,5 @@
 #include "serve/scene_cache.hpp"
 
-#include <sstream>
 #include <utility>
 
 #include "md/engine.hpp"
@@ -24,9 +23,7 @@ std::string scene_text(const md::MolecularSystem& sys) {
 
 std::string scene_text(const md::MolecularSystem& sys, parallel::FixedThreadPool* pool,
                        int n_chunks) {
-  std::ostringstream os;
-  md::save_scene(os, sys, pool, resolve_chunks(pool, n_chunks));
-  return os.str();
+  return md::format_scene(sys, pool, resolve_chunks(pool, n_chunks));
 }
 
 std::string checkpoint_text(const md::Engine& engine) {
@@ -35,11 +32,8 @@ std::string checkpoint_text(const md::Engine& engine) {
 
 std::string checkpoint_text(const md::Engine& engine, parallel::FixedThreadPool* pool,
                             int n_chunks) {
-  std::ostringstream os;
-  md::save_checkpoint_scene(os, engine.system(),
-                            engine.neighbor_list().reference_positions(), pool,
-                            resolve_chunks(pool, n_chunks));
-  return os.str();
+  return md::format_checkpoint(engine.system(), engine.neighbor_list().reference_positions(),
+                               pool, resolve_chunks(pool, n_chunks));
 }
 
 std::uint64_t SceneCache::content_hash(const std::string& text) {
@@ -81,8 +75,7 @@ std::shared_ptr<const md::MolecularSystem> SceneCache::load(const std::string& t
   // while we parse, and that outcome is a hit (the cache served the request;
   // this thread's parse was wasted work, not a cache miss).
   if (hook) hook();
-  std::istringstream is(text);
-  auto system = std::make_shared<const md::MolecularSystem>(md::load_scene(is));
+  auto system = std::make_shared<const md::MolecularSystem>(md::load_scene(text));
 
   std::lock_guard lock(mutex_);
   if (max_entries_ == 0) {

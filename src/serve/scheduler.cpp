@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/require.hpp"
@@ -291,9 +290,8 @@ bool BatchScheduler::run_job(JobTicket& job, int shard, int quantum) {
       // positions/velocities/accelerations from the "mws 2" text, the
       // neighbor list rebuilt from its reference snapshot (see
       // Engine::restore_continuation for why both are load-bearing).
-      std::istringstream is(job.checkpoint_text());
       std::vector<Vec3> refs;
-      md::MolecularSystem sys = md::load_scene(is, &refs);
+      md::MolecularSystem sys = md::load_scene(job.checkpoint_text(), &refs);
       engine.emplace(std::move(sys), cfg);
       engine->restore_continuation(refs);
     }

@@ -23,6 +23,7 @@
 #include "md/neighbor_list.hpp"
 #include "md/scene_io.hpp"
 #include "parallel/thread_pool.hpp"
+#include "scene_io_oracle.hpp"
 #include "serve/scene_cache.hpp"
 #include "sim/machine.hpp"
 #include "topo/machine_spec.hpp"
@@ -154,6 +155,49 @@ TEST(RebuildParallelTest, SceneTextByteIdenticalAcrossThreadsAndModes) {
         ASSERT_EQ(ref_hash, serve::SceneCache::content_hash(par));
       }
     }
+  }
+}
+
+TEST(RebuildParallelTest, SceneTextMatchesOracleWriterForEveryGenerator) {
+  // The chunked writer against the iostream reference writer, for every
+  // generator (nanocar carries all three bond kinds) and a checkpoint, at
+  // 1/2/4/8 chunks.  The pinned FNV hashes are the reference writer's bytes
+  // for these seeds: SceneCache keys must not move when the codec changes.
+  struct Generated {
+    const char* name;
+    md::MolecularSystem system;
+    std::uint64_t hash;
+  };
+  const Generated generated[] = {
+      {"nanocar", workloads::make_nanocar(11).system, 0xa1d84f83454f6c63ull},
+      {"salt", workloads::make_salt(22).system, 0xf75f1663953c6944ull},
+      {"Al-1000", workloads::make_al1000(33).system, 0x2cd7d95ae37762fcull},
+      {"lj_gas", workloads::make_lj_gas(300, 0.006, 300.0, 1), 0x7159dd12e3f085b9ull},
+      {"lj_coulomb_gas", workloads::make_lj_coulomb_gas(300, 0.008, 300.0, 0.25, 2),
+       0x82aa2b25865f962eull},
+      {"chain", workloads::make_chain(40, 3), 0xe6faabe66977ea8aull},
+      {"ionic", workloads::make_ionic(64, 4), 0xceff3be6a30331c2ull},
+      {"bulk_crystal", workloads::make_bulk_crystal(500, 50.0, 5), 0x719f48b6f4de2432ull},
+      {"droplet", workloads::make_droplet(2000, 110.0, 6), 0x0ce254802c92d5f9ull},
+  };
+  parallel::ThreadPoolConfig pc;
+  pc.n_threads = 4;
+  FixedThreadPool pool(pc);
+  for (const Generated& g : generated) {
+    const std::string ref = md::oracle::scene_text(g.system);
+    EXPECT_EQ(serve::SceneCache::content_hash(serve::scene_text(g.system)), g.hash) << g.name;
+    for (int chunks : {1, 2, 4, 8}) {
+      ASSERT_EQ(serve::scene_text(g.system, &pool, chunks), ref) << g.name << " @" << chunks;
+    }
+  }
+
+  workloads::BenchmarkSpec spec = workloads::make_nanocar(11);
+  md::Engine engine(std::move(spec.system), spec.engine);
+  engine.run_native(pool, 4);
+  const std::string ref = md::oracle::checkpoint_text(
+      engine.system(), engine.neighbor_list().reference_positions());
+  for (int chunks : {1, 2, 4, 8}) {
+    ASSERT_EQ(serve::checkpoint_text(engine, &pool, chunks), ref) << "checkpoint @" << chunks;
   }
 }
 

@@ -112,6 +112,22 @@ TEST(SceneIoTest, MalformedInputsRejectedWithLineNumbers) {
   expect_fail("mws 1\nbox 0 0 0 10 10 10\ntype A 1 0 1\natom 7 1 1 1 0 0 0 0 1\n",
               "unknown atom type");
   expect_fail("mws 1\nbox 0 0 0 5 5 5\ntype A 1 0 1\n", "no atoms");
+  // Records must hold exactly their fields, ints must be integers: these
+  // once loaded with silently shifted or truncated fields.
+  expect_fail("mws 1\nbox 0 0 0 9 9 9\ntype A 1 0 1\natom 0.5 1 1 1 0 0 0 0 1\n",
+              "scene line 4: malformed atom: non-integer field");
+  expect_fail("mws 1\nbox 0 0 0 9 9 9\ntype A 1 0 1\natom 0 1 1 1 0 0 0 0 1 junk\n",
+              "scene line 4: malformed atom: extra tokens after the last field");
+  expect_fail("mws 1\nbox 0 0 0 9 9 9\ntype A 1 0 1\natom 0 1 1 1 0 0 0 0 1.5\n",
+              "scene line 4: malformed atom: non-integer field");
+  expect_fail("mws 1\nbox 0 0 0 9 9 9\ntype A 1 0 1\natom 0 1 1 1 0 0 0 0 1junk\n",
+              "scene line 4: malformed atom: non-integer field");
+  expect_fail("mws 1\nbox 0 0 0 9 9 9 9\n", "malformed box: extra tokens");
+  expect_fail("mws 1\nbox 0 0 0 9 9 1e999\n", "malformed box: number out of range");
+  expect_fail("mws 1\nbox 0 0 0 9 9 1e-400\n", "malformed box: number out of range");
+  expect_fail("mws 1\nbox 0 0 0 9 9 nan\n", "malformed box: non-finite number");
+  expect_fail("mws 1\nbox 0 0 0 9 9 inf\n", "malformed box: non-finite number");
+  expect_fail("mws 1\n \n", "unknown record ''");
 }
 
 TEST(SceneIoTest, CheckpointRoundTripCarriesAccAndRefs) {
