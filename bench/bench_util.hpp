@@ -104,7 +104,6 @@ struct RunOptions {
   bool record_residency = false;
   bool reorder_on_rebuild = false;
   int reorder_interval = 0;  // Morton pass cadence in rebuilds; 0 = never
-  bool tiled_lj = true;
   std::uint64_t workload_seed = 7;
 };
 
@@ -132,7 +131,6 @@ inline RunResult run_simulated(const std::string& spec_name, const RunOptions& o
   cfg.instr_calls_per_task = opt.instr_calls_per_task;
   cfg.reorder_on_rebuild = opt.reorder_on_rebuild;
   cfg.reorder_interval = opt.reorder_interval;
-  cfg.tiled_lj = opt.tiled_lj;
   md::Engine engine(std::move(spec.system), cfg);
 
   sim::MachineConfig mc;

@@ -1,5 +1,5 @@
 // Spatial-locality study: Morton-order atom reordering + compacted CSR
-// neighbor lists + the tiled LJ kernel.
+// neighbor lists.
 //
 // Part A (simulated): Al-1000 traced on the three Table II machines, for each
 // heap layout model with the Morton pass off and on.  JavaObjects shows the
@@ -8,10 +8,9 @@
 // PackedSoA show what the pass buys once the memory manager cooperates.
 //
 // Part B (native): wall clock per LJ pair on a deliberately shuffled LJ gas,
-// comparing the seed-style path (scalar kernel, no reordering) against the
-// tiled kernel alone and tiled + periodic Morton reordering.  All three runs
-// share the CSR list and produce bit-identical trajectories per config; only
-// the speed differs.
+// comparing the seed-style path (no reordering) against periodic Morton
+// reordering.  Both runs share the CSR list and the LJ kernel; only the
+// atom order, and so the speed, differs.
 //
 // Emits BENCH_locality.json.  Args: [sim_steps] [native_atoms] [native_steps]
 // (CI passes tiny values for the smoke run).
@@ -103,12 +102,11 @@ int main(int argc, char** argv) {
   // noisy scheduling quantum on one run cannot masquerade as a speedup.
   constexpr int kReps = 3;
   double pairs_per_step_out = 0.0;
-  auto time_case = [&](bool tiled, int reorder_interval) {
+  auto time_case = [&](int reorder_interval) {
     md::MolecularSystem sys = make_shuffled_gas();
     md::EngineConfig cfg;
     cfg.n_threads = 1;
     cfg.temporaries = md::TemporariesMode::InPlace;
-    cfg.tiled_lj = tiled;
     cfg.reorder_interval = reorder_interval;
     md::Engine engine(std::move(sys), cfg);
     engine.run_inline(5);  // warmup: first rebuild (and first Morton pass)
@@ -122,23 +120,18 @@ int main(int argc, char** argv) {
     return seconds * 1e9 / (static_cast<double>(native_steps) * pairs_per_step);
   };
 
-  double ns_seed = 0.0, ns_tiled = 0.0, ns_morton = 0.0, ns_locality = 0.0;
+  double ns_seed = 0.0, ns_locality = 0.0;
   double pairs_seed = 0.0;
   for (int rep = 0; rep < kReps; ++rep) {
     auto best = [rep](double& acc, double v) { acc = rep == 0 ? v : std::min(acc, v); };
-    best(ns_seed, time_case(false, 0));
+    best(ns_seed, time_case(0));
     pairs_seed = pairs_per_step_out;
-    best(ns_tiled, time_case(true, 0));
-    best(ns_morton, time_case(false, 2));
-    best(ns_locality, time_case(true, 2));
+    best(ns_locality, time_case(2));
   }
 
   Table native({"Config", "ns/pair", "speedup vs seed"});
-  native.row("seed path (scalar LJ, no reorder)", Table::fixed(ns_seed, 3), Table::fixed(1.0, 3));
-  native.row("tiled LJ only", Table::fixed(ns_tiled, 3), Table::fixed(ns_seed / ns_tiled, 3));
-  native.row("Morton every 2 rebuilds only", Table::fixed(ns_morton, 3),
-             Table::fixed(ns_seed / ns_morton, 3));
-  native.row("tiled LJ + Morton every 2 rebuilds", Table::fixed(ns_locality, 3),
+  native.row("seed path (no reorder)", Table::fixed(ns_seed, 3), Table::fixed(1.0, 3));
+  native.row("Morton every 2 rebuilds", Table::fixed(ns_locality, 3),
              Table::fixed(ns_seed / ns_locality, 3));
   native.print(std::cout);
 
@@ -146,11 +139,7 @@ int main(int argc, char** argv) {
   json.metric("native", "steps", native_steps);
   json.metric("native", "pairs_per_step", pairs_seed);
   json.metric("native", "ns_per_pair_seed", ns_seed);
-  json.metric("native", "ns_per_pair_tiled", ns_tiled);
-  json.metric("native", "ns_per_pair_morton", ns_morton);
   json.metric("native", "ns_per_pair_locality", ns_locality);
-  json.metric("native", "speedup_tiled_vs_seed", ns_seed / ns_tiled);
-  json.metric("native", "speedup_morton_vs_seed", ns_seed / ns_morton);
   json.metric("native", "speedup_locality_vs_seed", ns_seed / ns_locality);
 
   std::cout << "\nwrote " << json.write() << "\n";

@@ -8,8 +8,8 @@
 // alternating +-1e charges.
 //
 // Ablation (cumulative, each variant keeps the previous ones on):
-//   baseline        PR-5 path: tiled LJ only; scalar Coulomb, barriered
-//                   rebuild schedule, OS page placement
+//   baseline        scalar Coulomb, barriered rebuild schedule, OS page
+//                   placement
 //   tiled_coulomb   + branch-free lane-loop Coulomb kernel
 //   overlap         + CSR neighbor-count pass fused with non-LJ forces
 //   numa            + first-touch placement of hot arrays and slot buffers
@@ -81,7 +81,6 @@ md::EngineConfig make_config(int threads) {
   cfg.dt_fs = 1.0;
   cfg.cutoff = 8.0;
   cfg.skin = 0.9;
-  cfg.tiled_lj = true;  // PR-5 state; not part of this ablation
   return cfg;
 }
 
@@ -127,7 +126,6 @@ int main(int argc, char** argv) {
   double ref_energy = 0.0;
   {
     md::EngineConfig cfg = make_config(threads);
-    cfg.tiled_lj = false;
     cfg.tiled_coulomb = false;
     cfg.overlap_rebuild = false;
     cfg.first_touch = false;

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 verify (full build + test suite) plus the tsan
+# CI gate: the tier-1 verify (full build + test suite), the asan preset's
+# kernel/force/engine/locality/scene suites, plus the tsan
 # preset's concurrency suites (StealDeque/ThreadPool/TaskQueue/QueueModes/
 # Latch/Barrier/TraceRing/JobHandle/Reentrancy/Serve/SceneCache/
 # RebuildParallel), which pin the lock-free executor paths, the
@@ -276,5 +277,13 @@ echo "== tsan: concurrency suites (tsan preset) =="
 cmake --preset tsan
 cmake --build --preset tsan --parallel "${jobs}"
 ctest --preset tsan -j "${jobs}"
+
+echo "== asan: kernel/force/engine/locality/scene suites (asan preset) =="
+# ASan + UBSan (no recovery): the LJ kernel reads CSR rows four entries at a
+# time and the Coulomb block reads the packed arrays eight at a time; any
+# read past a row, a buffer or a lane mask's intent fails here.
+cmake --preset asan
+cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
+ctest --preset asan -j "${jobs}"
 
 echo "CI OK"

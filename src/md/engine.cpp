@@ -212,8 +212,7 @@ void Engine::run_task(const TaskDesc& t, int buffer, Mem& mem) {
       break;
     case Kind::FusedLj:
       fused_neighbors_lj_chunk(sys_, grid_, nlist_, lj_, config_.costs, rebuild_now_,
-                               buffers_, buffer, t.begin, t.end, t.stride, mem,
-                               config_.tiled_lj);
+                               buffers_, buffer, t.begin, t.end, t.stride, mem);
       break;
     case Kind::Coulomb:
       coulomb_chunk(sys_, config_.costs, buffers_, buffer, t.begin, t.end, t.stride, mem,
@@ -337,8 +336,10 @@ void Engine::exec_phase(parallel::FixedThreadPool* pool, sim::Machine* machine, 
     }
   }
   phase_job.wait();
-  require(phase_job.ok(), "engine phase " + std::to_string(tag) +
-                              " task failed: " + phase_job.error());
+  // The message is built only on failure: this runs on every phase.
+  if (!phase_job.ok()) {
+    require(false, "engine phase " + std::to_string(tag) + " task failed: " + phase_job.error());
+  }
   if (native_trace_ != nullptr) {
     // Phase bracket on the master's lane: dispatch to barrier release.
     native_trace_->record(native_trace_->external_lane(), perf::TraceKind::Phase, tag,
@@ -583,8 +584,7 @@ void Engine::place_first_touch(parallel::FixedThreadPool& pool) {
   for (int slot = 0; slot < n_slots_; ++slot) {
     slots[static_cast<std::size_t>(slot)].resize_uninitialized(static_cast<std::size_t>(n));
     pool.submit_to(slot % pw, [&slots, slot, n] {
-      std::memset(slots[static_cast<std::size_t>(slot)].data(), 0,
-                  static_cast<std::size_t>(n) * sizeof(Vec3));
+      std::fill_n(slots[static_cast<std::size_t>(slot)].data(), n, Vec3{});
     }, slot_job);
   }
   slot_job.wait();

@@ -89,11 +89,6 @@ struct EngineConfig {
   // layout.  0 disables the pass (the seed-identical default).
   int reorder_interval = 0;
 
-  // Evaluate the LJ inner loop with the tiled (vector-friendly) kernel.
-  // Bit-identical to the scalar path by construction; the switch exists for
-  // the locality bench's before/after comparison.
-  bool tiled_lj = true;
-
   // Evaluate the Coulomb inner loop with the tiled kernel (same lane-loop
   // discipline, same bit-identity guarantee; bench/raw_speed ablates it).
   bool tiled_coulomb = true;

@@ -130,35 +130,193 @@ void neighbor_count_chunk(const MolecularSystem& sys, const CellGrid& grid,
 // paper's convention — with j's share written into this worker's private
 // buffer.
 //
-// The LJ loop has two forms selected by `tiled`.  The scalar form is the
-// paper's per-pair loop.  The tiled form gathers up to kLjTile accepted
-// neighbors' dr components and pair parameters into stack arrays, evaluates
-// r2 -> sr6 -> fscale across the tile in a branch-free lane loop the
-// compiler can vectorize *without* fast-math, then scatters forces and
-// accumulates pe in the original neighbor order.  Every lane computes the
-// same IEEE double expressions as the scalar form and the accumulators see
-// the same values in the same order, so the two forms are bit-identical —
-// a guarantee the test suite enforces.
+// The LJ pass over a row has two implementations with identical bits.
+// lj_row_scalar is the paper's per-pair loop: the traced backend runs it (its
+// per-pair event order is the address stream the simulator replays), and so
+// does every native build without AVX2.  lj_row_avx2 is the native kernel.
 // ---------------------------------------------------------------------------
-inline constexpr int kLjTile = 8;
+template <typename Mem>
+void lj_row_scalar(const MolecularSystem& sys, const NeighborList& nlist, const LjTable& lj,
+                   const CostTable& costs, ForceBuffers& buf, int worker, int i, Mem& mem) {
+  const auto& pos = sys.positions();
+  const double cutoff2 = lj.cutoff2();
+  const Vec3 xi = pos[static_cast<std::size_t>(i)];
+  const int ti = sys.type_of(i);
+  Vec3 fi{};
+  double pe = 0.0;
+  const int* it = nlist.begin(i);
+  const int* last = nlist.end(i);
+  for (int k = 0; it != last; ++it, ++k) {
+    const int j = *it;
+    mem.read_neighbor_entry(nlist.entry_index(i, k));
+    mem.read_pos(j);
+    mem.read_meta(j);
+    const Vec3 dr = xi - pos[static_cast<std::size_t>(j)];
+    const double r2 = dr.norm2();
+    if (r2 > cutoff2 || r2 <= 0.0) continue;
+    const int tj = sys.type_of(j);
+    const double eps = lj.epsilon(ti, tj);
+    if (eps == 0.0) continue;
+    const double sr2 = lj.sigma2(ti, tj) / r2;
+    const double sr6 = sr2 * sr2 * sr2;
+    const double sr12 = sr6 * sr6;
+    const double fscale = 24.0 * eps * (2.0 * sr12 - sr6) / r2;
+    const Vec3 f = dr * fscale;
+    fi += f;
+    buf.force(worker, j) -= f;
+    mem.write_private_force(worker, j);
+    pe += 4.0 * eps * (sr12 - sr6) - lj.shift(ti, tj);
+    mem.temps(costs.temps_lj_pair);
+    mem.compute(costs.lj_pair);
+  }
+  buf.force(worker, i) += fi;
+  buf.add_pe(worker, pe);
+  mem.write_private_force(worker, i);
+}
+
+#if defined(__AVX2__)
+// The native LJ kernel: the row in blocks of four entries, one pair per
+// lane, every lane evaluating the scalar loop's expressions with the scalar
+// association (vsubpd/vmulpd/vaddpd/vdivpd are correctly rounded and
+// -ffp-contract=off forbids FMA), so each lane's f and pe term carry the
+// scalar bits.
+//
+// Acceptance is a mask instead of a branch: the compares are the negations
+// of the scalar `continue` tests in their unordered forms (_CMP_NGT_UQ,
+// _CMP_NLE_UQ, _CMP_NEQ_UQ), so a NaN r2 or eps is accepted exactly as the
+// scalar loop accepts it.  Rejected lanes are and-ed to +0.0 and all four
+// lanes are folded in list order into [fi.x, fi.y, fi.z, pe] and into each
+// fj.  That fold is bit-exact: fi and pe start at +0.0 and a round-to-
+// nearest sum is -0.0 only when both addends are, so they are never -0.0
+// and adding +0.0 leaves them unchanged; fj - (+0.0) == fj for every fj.
+// The rejected lane's fj store does mark its block touched, which the
+// sparse reduction only turns into more +0.0 addends.
+//
+// Positions are loaded per lane and packed with _mm256_setr_pd (measured
+// faster than vgatherdpd here), and the fold replaces a loop over accepted
+// lanes, whose mispredicted exits cost more than the masked work.  The last
+// block of a row pads its dead lanes with i and a lane mask rejects them
+// whatever their r2 (even a NaN xi): the row is never read past its end.
+template <bool kSingleType>
+void lj_row_avx2_impl(const MolecularSystem& sys, const NeighborList& nlist, const LjTable& lj,
+                      ForceBuffers& buf, int worker, int i) {
+  const Vec3* pos = sys.positions().data();
+  const Vec3 xi = pos[i];
+  const int ti = sys.type_of(i);
+  const double* eps_row = lj.epsilon_row(ti);
+  const double* sig2_row = lj.sigma2_row(ti);
+  const double* shift_row = lj.shift_row(ti);
+  const int* row = nlist.begin(i);
+  const int n = nlist.count(i);
+
+  const __m256d vxix = _mm256_set1_pd(xi.x);
+  const __m256d vxiy = _mm256_set1_pd(xi.y);
+  const __m256d vxiz = _mm256_set1_pd(xi.z);
+  const __m256d vc2 = _mm256_set1_pd(lj.cutoff2());
+  const __m256d vzero = _mm256_setzero_pd();
+  const __m256d v2 = _mm256_set1_pd(2.0);
+  const __m256d v4 = _mm256_set1_pd(4.0);
+  const __m256d v24 = _mm256_set1_pd(24.0);
+  // Single-type systems: the pair constants are one table entry.
+  const __m256d veps1 = _mm256_set1_pd(eps_row[0]);
+  const __m256d vsig21 = _mm256_set1_pd(sig2_row[0]);
+  const __m256d vshift1 = _mm256_set1_pd(shift_row[0]);
+
+  // Lane positions 0..3, compared against the entries left in the row.
+  const __m256d vlane = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+
+  // Lane l is the scalar chain of fi.x, fi.y, fi.z, pe respectively.
+  __m256d acc = vzero;
+  for (int k = 0; k < n; k += 4) {
+    const int rem = n - k;  // < 4 only in the padded last block
+    const int j0 = row[k];
+    const int j1 = rem > 1 ? row[k + 1] : i;
+    const int j2 = rem > 2 ? row[k + 2] : i;
+    const int j3 = rem > 3 ? row[k + 3] : i;
+    const __m256d live = _mm256_cmp_pd(vlane, _mm256_set1_pd(rem), _CMP_LT_OQ);
+    const Vec3& p0 = pos[j0];
+    const Vec3& p1 = pos[j1];
+    const Vec3& p2 = pos[j2];
+    const Vec3& p3 = pos[j3];
+    const __m256d dx = _mm256_sub_pd(vxix, _mm256_setr_pd(p0.x, p1.x, p2.x, p3.x));
+    const __m256d dy = _mm256_sub_pd(vxiy, _mm256_setr_pd(p0.y, p1.y, p2.y, p3.y));
+    const __m256d dz = _mm256_sub_pd(vxiz, _mm256_setr_pd(p0.z, p1.z, p2.z, p3.z));
+    const __m256d r2 = _mm256_add_pd(
+        _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)), _mm256_mul_pd(dz, dz));
+    __m256d eps = veps1, sig2 = vsig21, shift = vshift1;
+    if constexpr (!kSingleType) {
+      const int t0 = sys.type_of(j0), t1 = sys.type_of(j1);
+      const int t2 = sys.type_of(j2), t3 = sys.type_of(j3);
+      eps = _mm256_setr_pd(eps_row[t0], eps_row[t1], eps_row[t2], eps_row[t3]);
+      sig2 = _mm256_setr_pd(sig2_row[t0], sig2_row[t1], sig2_row[t2], sig2_row[t3]);
+      shift = _mm256_setr_pd(shift_row[t0], shift_row[t1], shift_row[t2], shift_row[t3]);
+    }
+    // !(r2 > c2 || r2 <= 0) && !(eps == 0), NaN-faithful.
+    const __m256d ok = _mm256_and_pd(
+        _mm256_and_pd(live, _mm256_cmp_pd(r2, vc2, _CMP_NGT_UQ)),
+        _mm256_and_pd(_mm256_cmp_pd(r2, vzero, _CMP_NLE_UQ),
+                      _mm256_cmp_pd(eps, vzero, _CMP_NEQ_UQ)));
+    const __m256d sr2 = _mm256_div_pd(sig2, r2);
+    const __m256d sr6 = _mm256_mul_pd(_mm256_mul_pd(sr2, sr2), sr2);
+    const __m256d sr12 = _mm256_mul_pd(sr6, sr6);
+    const __m256d fs = _mm256_div_pd(
+        _mm256_mul_pd(_mm256_mul_pd(v24, eps), _mm256_sub_pd(_mm256_mul_pd(v2, sr12), sr6)),
+        r2);
+    const __m256d fx = _mm256_and_pd(_mm256_mul_pd(dx, fs), ok);
+    const __m256d fy = _mm256_and_pd(_mm256_mul_pd(dy, fs), ok);
+    const __m256d fz = _mm256_and_pd(_mm256_mul_pd(dz, fs), ok);
+    const __m256d e = _mm256_and_pd(
+        _mm256_sub_pd(_mm256_mul_pd(_mm256_mul_pd(v4, eps), _mm256_sub_pd(sr12, sr6)), shift),
+        ok);
+    // 4x4 transpose: pair l's [fx, fy, fz, e] becomes one vector.
+    const __m256d t0 = _mm256_unpacklo_pd(fx, fy);  // fx0 fy0 fx2 fy2
+    const __m256d t1 = _mm256_unpackhi_pd(fx, fy);  // fx1 fy1 fx3 fy3
+    const __m256d t2 = _mm256_unpacklo_pd(fz, e);   // fz0 e0  fz2 e2
+    const __m256d t3 = _mm256_unpackhi_pd(fz, e);   // fz1 e1  fz3 e3
+    const __m256d pair[4] = {_mm256_permute2f128_pd(t0, t2, 0x20),
+                             _mm256_permute2f128_pd(t1, t3, 0x20),
+                             _mm256_permute2f128_pd(t0, t2, 0x31),
+                             _mm256_permute2f128_pd(t1, t3, 0x31)};
+    const int js[4] = {j0, j1, j2, j3};
+    for (int l = 0; l < 4; ++l) {
+      acc = _mm256_add_pd(acc, pair[l]);
+      Vec3& fj = buf.force(worker, js[l]);
+      _mm_storeu_pd(&fj.x, _mm_sub_pd(_mm_loadu_pd(&fj.x), _mm256_castpd256_pd128(pair[l])));
+      fj.z -= _mm_cvtsd_f64(_mm256_extractf128_pd(pair[l], 1));
+    }
+  }
+
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, acc);
+  buf.force(worker, i) += Vec3{lanes[0], lanes[1], lanes[2]};
+  buf.add_pe(worker, lanes[3]);
+}
+
+inline void lj_row_avx2(const MolecularSystem& sys, const NeighborList& nlist, const LjTable& lj,
+                        ForceBuffers& buf, int worker, int i) {
+  if (lj.n_types() == 1) {
+    lj_row_avx2_impl<true>(sys, nlist, lj, buf, worker, i);
+  } else {
+    lj_row_avx2_impl<false>(sys, nlist, lj, buf, worker, i);
+  }
+}
+#endif
 
 template <typename Mem>
 void fused_neighbors_lj_chunk(const MolecularSystem& sys, const CellGrid& grid,
                               NeighborList& nlist, const LjTable& lj, const CostTable& costs,
                               bool rebuild, ForceBuffers& buf, int worker, int begin, int end,
-                              int stride, Mem& mem, bool tiled = false) {
+                              int stride, Mem& mem) {
   const auto& pos = sys.positions();
   const double reach2 = nlist.reach() * nlist.reach();
-  const double cutoff2 = lj.cutoff2();
 
   for (int i = begin; i < end; i += stride) {
     mem.read_pos(i);
     mem.read_meta(i);
-    const Vec3 xi = pos[static_cast<std::size_t>(i)];
-    const int ti = sys.type_of(i);
-    const bool mi = sys.movable(i);
 
     if (rebuild) {
+      const Vec3 xi = pos[static_cast<std::size_t>(i)];
+      const bool mi = sys.movable(i);
       int k = 0;
       int cells[27];
       const int nc = grid.neighbor_cells(grid.cell_of(xi), cells);
@@ -187,100 +345,13 @@ void fused_neighbors_lj_chunk(const MolecularSystem& sys, const CellGrid& grid,
       }
     }
 
-    Vec3 fi{};
-    double pe = 0.0;
-    const int* it = nlist.begin(i);
-    const int* last = nlist.end(i);
-
-    if (!tiled) {
-      for (int k = 0; it != last; ++it, ++k) {
-        const int j = *it;
-        mem.read_neighbor_entry(nlist.entry_index(i, k));
-        mem.read_pos(j);
-        mem.read_meta(j);
-        const Vec3 dr = xi - pos[static_cast<std::size_t>(j)];
-        const double r2 = dr.norm2();
-        if (r2 > cutoff2 || r2 <= 0.0) continue;
-        const int tj = sys.type_of(j);
-        const double eps = lj.epsilon(ti, tj);
-        if (eps == 0.0) continue;
-        const double sr2 = lj.sigma2(ti, tj) / r2;
-        const double sr6 = sr2 * sr2 * sr2;
-        const double sr12 = sr6 * sr6;
-        const double fscale = 24.0 * eps * (2.0 * sr12 - sr6) / r2;
-        const Vec3 f = dr * fscale;
-        fi += f;
-        buf.force(worker, j) -= f;
-        mem.write_private_force(worker, j);
-        pe += 4.0 * eps * (sr12 - sr6) - lj.shift(ti, tj);
-        mem.temps(costs.temps_lj_pair);
-        mem.compute(costs.lj_pair);
-      }
-    } else {
-      // Tile buffers: accepted pairs only, in list order.  dr is not
-      // buffered — the scatter recomputes xi - pos[j] (an identical IEEE
-      // expression on positions that cannot change mid-phase) from lines
-      // the gather just touched, which is cheaper than six extra stack
-      // arrays' worth of stores and reloads per tile.
-      int tj_[kLjTile];
-      double tr2[kLjTile];
-      double teps[kLjTile], tsig2[kLjTile], tshift[kLjTile];
-      double tfs[kLjTile], tpe[kLjTile];
-      int m = 0;
-
-      // `count` is kLjTile (a compile-time constant after inlining) at every
-      // full-tile flush, so the lane loop below gets a fixed trip count the
-      // vectorizer can unroll; only the final partial flush runs with a
-      // runtime bound.
-      auto flush = [&](const int count) {
-        // Lane loop: pure per-lane IEEE arithmetic, no branches, no
-        // cross-lane dependency — vectorizable as-is.
-        for (int t = 0; t < count; ++t) {
-          const double sr2 = tsig2[t] / tr2[t];
-          const double sr6 = sr2 * sr2 * sr2;
-          const double sr12 = sr6 * sr6;
-          tfs[t] = 24.0 * teps[t] * (2.0 * sr12 - sr6) / tr2[t];
-          tpe[t] = 4.0 * teps[t] * (sr12 - sr6) - tshift[t];
-        }
-        // Scatter/accumulate in original neighbor order: fi, the private
-        // buffer entries and pe receive exactly the scalar form's values in
-        // exactly the scalar form's order.
-        for (int t = 0; t < count; ++t) {
-          const Vec3 f = (xi - pos[static_cast<std::size_t>(tj_[t])]) * tfs[t];
-          fi += f;
-          buf.force(worker, tj_[t]) -= f;
-          mem.write_private_force(worker, tj_[t]);
-          pe += tpe[t];
-          mem.temps(costs.temps_lj_pair);
-          mem.compute(costs.lj_pair);
-        }
-        m = 0;
-      };
-
-      for (int k = 0; it != last; ++it, ++k) {
-        const int j = *it;
-        mem.read_neighbor_entry(nlist.entry_index(i, k));
-        mem.read_pos(j);
-        mem.read_meta(j);
-        const Vec3 dr = xi - pos[static_cast<std::size_t>(j)];
-        const double r2 = dr.norm2();
-        if (r2 > cutoff2 || r2 <= 0.0) continue;
-        const int tj = sys.type_of(j);
-        const double eps = lj.epsilon(ti, tj);
-        if (eps == 0.0) continue;
-        tj_[m] = j;
-        tr2[m] = r2;
-        teps[m] = eps;
-        tsig2[m] = lj.sigma2(ti, tj);
-        tshift[m] = lj.shift(ti, tj);
-        if (++m == kLjTile) flush(kLjTile);
-      }
-      flush(m);
+#if defined(__AVX2__)
+    if constexpr (!Mem::tracing) {
+      lj_row_avx2(sys, nlist, lj, buf, worker, i);
+      continue;
     }
-
-    buf.force(worker, i) += fi;
-    buf.add_pe(worker, pe);
-    mem.write_private_force(worker, i);
+#endif
+    lj_row_scalar(sys, nlist, lj, costs, buf, worker, i, mem);
   }
 }
 
@@ -290,12 +361,12 @@ void fused_neighbors_lj_chunk(const MolecularSystem& sys, const CellGrid& grid,
 // charged-atom index list; the triangular inner loop gives lower-ranked
 // chunks more work — the deliberate index-correlated imbalance.
 //
-// Like the LJ kernel this has a scalar and a tiled form.  Unlike LJ, the
-// all-pairs loop rejects (almost) nothing, so a tile that merely regroups
-// the sqrt/divide chain cannot amortize its gather cost against skipped
-// pairs.  The tiled form therefore reads from a PackedCharges snapshot —
-// the charged atoms' positions and charges copied bit-for-bit into four
-// contiguous arrays once per step — which turns the inner loop's three
+// This kernel has a scalar and a tiled form.  The all-pairs loop rejects
+// (almost) nothing, so a tile that merely regroups the sqrt/divide chain
+// cannot amortize its gather cost against skipped pairs.  The tiled form
+// therefore reads from a PackedCharges snapshot — the charged atoms'
+// positions and charges copied bit-for-bit into four contiguous arrays
+// once per step — which turns the inner loop's three
 // gathered position loads plus one gathered charge load into streaming
 // loads, and buffers dr in the tile so nothing is fetched twice.  The lane
 // loop runs sqrt/divide/multiply across the tile branch-free — it
@@ -305,6 +376,7 @@ void fused_neighbors_lj_chunk(const MolecularSystem& sys, const CellGrid& grid,
 // (kCoulomb * qi) * qj / r, which is precisely the association the scalar
 // expression already has.
 // ---------------------------------------------------------------------------
+inline constexpr int kCoulombTile = 8;
 
 // Per-step SoA snapshot of the charged atoms.  pack() copies values
 // verbatim (no arithmetic), so kernels reading it see exactly the bits in
@@ -377,7 +449,7 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
       const double* __restrict py = packed->y.data();
       const double* __restrict pz = packed->z.data();
       const double* __restrict pq = packed->q.data();
-      // Full blocks of kLjTile consecutive cj.  The all-pairs loop accepts
+      // Full blocks of kCoulombTile consecutive cj.  The all-pairs loop accepts
       // every pair except exact coincidence (r2 == 0), so unlike LJ there is
       // nothing to compact: pass 1 computes dr and r2 for the whole block
       // branch-free from the packed arrays (contiguous vector loads), the
@@ -395,7 +467,7 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
       // each lane computes the scalar form's exact bits.
       int cj = ci + 1;
 #if defined(__AVX2__)
-      static_assert(kLjTile == 8, "AVX2 Coulomb block assumes two 4-lane halves");
+      static_assert(kCoulombTile == 8, "AVX2 Coulomb block assumes two 4-lane halves");
       const __m256d vxix = _mm256_set1_pd(xi.x);
       const __m256d vxiy = _mm256_set1_pd(xi.y);
       const __m256d vxiz = _mm256_set1_pd(xi.z);
@@ -407,15 +479,15 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
       // scalar chains, not partial sums glued on.  fi.z and pe accumulate
       // as plain scalars — four independent 4-cycle chains either way.
       __m128d fixy = _mm_setzero_pd();
-      for (; cj + kLjTile <= n_charged; cj += kLjTile) {
-        for (int t = 0; t < kLjTile; ++t) {
+      for (; cj + kCoulombTile <= n_charged; cj += kCoulombTile) {
+        for (int t = 0; t < kCoulombTile; ++t) {
           mem.read_pos(charged[static_cast<std::size_t>(cj + t)]);
           mem.read_meta(charged[static_cast<std::size_t>(cj + t)]);
         }
         // a_xy holds per-pair [fx, fy] interleaved so the scatter can load,
         // subtract and store fj.x/fj.y with single 128-bit ops — the store
         // port is this loop's tightest resource.
-        double a_xy[2 * kLjTile], a_fz[kLjTile], a_e[kLjTile];
+        double a_xy[2 * kCoulombTile], a_fz[kCoulombTile], a_e[kCoulombTile];
         bool ok = true;
         for (int h = 0; h < 2; ++h) {
           const int o = cj + 4 * h;
@@ -447,7 +519,7 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
         // would reassociate the fi/pe chains, so the rest of the row stays
         // scalar; coincident pairs never occur in practice.
         if (!ok) break;
-        for (int t = 0; t < kLjTile; ++t) {
+        for (int t = 0; t < kCoulombTile; ++t) {
           const __m128d f2 = _mm_loadu_pd(a_xy + 2 * t);
           fixy = _mm_add_pd(fixy, f2);
           fi.z += a_fz[t];
@@ -475,10 +547,10 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
       // Guarded scalar fallback: the same block structure in plain C++.
       // Bit-identical to the AVX2 path (and to the scalar kernel) because
       // every expression keeps the same association.
-      double bdx[kLjTile], bdy[kLjTile], bdz[kLjTile], br2[kLjTile];
-      double bfs[kLjTile], be[kLjTile];
-      for (; cj + kLjTile <= n_charged; cj += kLjTile) {
-        for (int t = 0; t < kLjTile; ++t) {
+      double bdx[kCoulombTile], bdy[kCoulombTile], bdz[kCoulombTile], br2[kCoulombTile];
+      double bfs[kCoulombTile], be[kCoulombTile];
+      for (; cj + kCoulombTile <= n_charged; cj += kCoulombTile) {
+        for (int t = 0; t < kCoulombTile; ++t) {
           mem.read_pos(charged[static_cast<std::size_t>(cj + t)]);
           mem.read_meta(charged[static_cast<std::size_t>(cj + t)]);
           const double dx = xi.x - px[cj + t];
@@ -490,15 +562,15 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
           br2[t] = dx * dx + dy * dy + dz * dz;
         }
         double min_r2 = br2[0];
-        for (int t = 1; t < kLjTile; ++t) min_r2 = std::min(min_r2, br2[t]);
+        for (int t = 1; t < kCoulombTile; ++t) min_r2 = std::min(min_r2, br2[t]);
         if (min_r2 > 0.0) {
-          for (int t = 0; t < kLjTile; ++t) {
+          for (int t = 0; t < kCoulombTile; ++t) {
             const double r = std::sqrt(br2[t]);
             const double e = kqi * pq[cj + t] / r;
             be[t] = e;
             bfs[t] = e / br2[t];
           }
-          for (int t = 0; t < kLjTile; ++t) {
+          for (int t = 0; t < kCoulombTile; ++t) {
             const double fx = bdx[t] * bfs[t];
             const double fy = bdy[t] * bfs[t];
             const double fz = bdz[t] * bfs[t];
@@ -516,7 +588,7 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
             mem.compute(costs.coulomb_pair);
           }
         } else {
-          for (int t = 0; t < kLjTile; ++t) {
+          for (int t = 0; t < kCoulombTile; ++t) {
             if (br2[t] <= 0.0) continue;
             const double r = std::sqrt(br2[t]);
             const double e = kqi * pq[cj + t] / r;
@@ -540,7 +612,7 @@ void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuff
         }
       }
 #endif
-      // Row tail (< kLjTile pairs): the scalar body against the packed
+      // Row tail (< kCoulombTile pairs): the scalar body against the packed
       // arrays.
       for (; cj < n_charged; ++cj) {
         const int j = charged[static_cast<std::size_t>(cj)];

@@ -31,6 +31,20 @@ class LjTable {
   }
 
   [[nodiscard]] double cutoff2() const { return cutoff2_; }
+  [[nodiscard]] int n_types() const { return n_types_; }
+
+  // Row `ta` of each table, indexed by the partner's type (vector kernels
+  // load per-lane constants from these).
+  [[nodiscard]] const double* epsilon_row(int ta) const {
+    return eps_.data() + static_cast<std::size_t>(ta * n_types_);
+  }
+  [[nodiscard]] const double* sigma2_row(int ta) const {
+    return sigma2_.data() + static_cast<std::size_t>(ta * n_types_);
+  }
+  [[nodiscard]] const double* shift_row(int ta) const {
+    return shift_.data() + static_cast<std::size_t>(ta * n_types_);
+  }
+
   [[nodiscard]] double epsilon(int ta, int tb) const {
     return eps_[static_cast<std::size_t>(ta * n_types_ + tb)];
   }

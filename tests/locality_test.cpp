@@ -1,8 +1,7 @@
 // Tests for the spatial-locality machinery: Morton keys and ordering,
 // MolecularSystem permutation behind stable external IDs, heap-model address
-// follow-through, scene I/O invariance, CSR build determinism, the tiled LJ
-// kernel's bit-identity guarantee, and trajectory invariance under the
-// reordering pass.
+// follow-through, scene I/O invariance, CSR build determinism, and
+// trajectory invariance under the reordering pass.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -266,40 +265,6 @@ TEST(SceneIoPermuteTest, SavedSceneIsByteIdenticalAcrossReorders) {
   std::istringstream in(after.str());
   MolecularSystem loaded = load_scene(in);
   for (int i = 0; i < loaded.n_atoms(); ++i) EXPECT_EQ(loaded.external_id(i), i);
-}
-
-// --- Tiled LJ bit-identity ---------------------------------------------------
-
-TEST(TiledLjTest, TiledKernelIsBitIdenticalToScalar) {
-  auto run = [](bool tiled) {
-    auto sys = workloads::make_lj_gas(400, 0.02, 260.0, 19);
-    EngineConfig cfg;
-    cfg.n_threads = 2;
-    cfg.cutoff = 6.0;
-    cfg.skin = 0.8;
-    cfg.temporaries = TemporariesMode::InPlace;
-    cfg.tiled_lj = tiled;
-    auto eng = std::make_unique<Engine>(std::move(sys), cfg);
-    eng->run_inline(25);  // crosses several rebuilds
-    return eng;
-  };
-  const auto scalar_p = run(false);
-  const auto tiled_p = run(true);
-  const Engine& scalar = *scalar_p;
-  const Engine& tiled = *tiled_p;
-  const double pe_s = scalar.potential_energy(), pe_t = tiled.potential_energy();
-  const double ke_s = scalar.kinetic_energy(), ke_t = tiled.kinetic_energy();
-  EXPECT_EQ(std::memcmp(&pe_s, &pe_t, sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(&ke_s, &ke_t, sizeof(double)), 0);
-  ASSERT_EQ(scalar.system().n_atoms(), tiled.system().n_atoms());
-  EXPECT_EQ(std::memcmp(scalar.system().positions().data(),
-                        tiled.system().positions().data(),
-                        scalar.system().positions().size() * sizeof(Vec3)),
-            0);
-  EXPECT_EQ(std::memcmp(scalar.system().velocities().data(),
-                        tiled.system().velocities().data(),
-                        scalar.system().velocities().size() * sizeof(Vec3)),
-            0);
 }
 
 // --- CSR determinism across worker counts -----------------------------------

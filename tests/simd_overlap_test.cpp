@@ -4,7 +4,7 @@
 //  * PME spread/interpolate lane loops vs the recursive scalar path —
 //    bitwise, across spline orders, tail atom counts, and mostly-empty grids;
 //  * tiled Coulomb kernel vs the scalar pair loop — bitwise, including
-//    non-multiple-of-kLjTile tails and the coincident-charge skip;
+//    non-multiple-of-kCoulombTile tails and the coincident-charge skip;
 //  * the overlapped rebuild schedule vs the barriered one — bitwise across
 //    worker counts and queue disciplines (accumulation-slot serial chains);
 //  * first-touch placement — pure page movement, energies unchanged;
@@ -143,7 +143,7 @@ void expect_coulomb_bitwise(const md::MolecularSystem& sys) {
 
 TEST(CoulombTiled, BitIdenticalWithPartialTail) {
   // 37 atoms, all charged -> 36 charges (net-neutral rounding): rows end in
-  // every tail length mod kLjTile as the triangle shrinks.
+  // every tail length mod kCoulombTile as the triangle shrinks.
   expect_coulomb_bitwise(workloads::make_lj_coulomb_gas(37, 0.002, 300.0, 1.0, 99));
 }
 
