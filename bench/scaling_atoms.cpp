@@ -123,7 +123,8 @@ int main(int argc, char** argv) {
 
   for (int n : sizes) {
     md::MolecularSystem sys = workloads::make_bulk_crystal(n, 120.0, 42);
-    const std::string size_tag = "n" + std::to_string(n);
+    std::string size_tag = "n";
+    size_tag += std::to_string(n);
     const double reach = 8.9;  // engine default cutoff + skin
     bool size_ok = true;
 

@@ -160,7 +160,8 @@ int main(int argc, char** argv) {
       clients.emplace_back([&, c] {
         const int tenant_idx = c % tenants;
         const bool bulk = tenant_idx == 0;
-        const std::string tenant = "t" + std::to_string(tenant_idx);
+        std::string tenant = "t";
+        tenant += std::to_string(tenant_idx);
         for (int j = 0; j < jobs_per_client; ++j) {
           const int menu = bulk ? -1 : (c + j) % n_menu;
           serve::JobRequest req;

@@ -132,8 +132,6 @@ int main(int argc, char** argv) {
   // --- 2. Salt end-to-end on a Table II machine -----------------------------
   std::cout << "salt, 16 threads, chunks/thread=4, simulated 4-socket Xeon X7560:\n";
   Table engine_table({"Discipline", "ms/step", "Imbalance", "Steals", "Queue wait ms"});
-  double salt_ms[3] = {0, 0, 0};
-  int idx = 0;
   for (const auto a : {sim::Assignment::Static, sim::Assignment::SharedQueue,
                        sim::Assignment::WorkStealing}) {
     bench::RunOptions opt;
@@ -143,7 +141,6 @@ int main(int argc, char** argv) {
     opt.assignment = a;
     opt.chunks_per_thread = 4;
     const auto r = bench::run_simulated("salt", opt);
-    salt_ms[idx++] = r.seconds_per_step * 1e3;
     engine_table.row(assignment_name(a), Table::fixed(r.seconds_per_step * 1e3, 3),
                      Table::fixed(r.imbalance, 3), r.counters.steals,
                      Table::fixed(r.counters.queue_wait_cycles /

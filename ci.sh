@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 verify (full build + test suite), the asan preset's
-# kernel/force/engine/locality/scene suites, plus the tsan
+# CI gate: the tier-1 verify (full build with -Werror + test suite), the asan
+# preset's kernel/force/engine/locality/scene/executor suites, plus the tsan
 # preset's concurrency suites (StealDeque/ThreadPool/TaskQueue/QueueModes/
 # Latch/Barrier/TraceRing/JobHandle/Reentrancy/Serve/SceneCache/
 # RebuildParallel), which pin the lock-free executor paths, the
@@ -11,8 +11,9 @@ cd "$(dirname "$0")"
 
 jobs=${JOBS:-$(nproc)}
 
-echo "== tier-1: configure + build + ctest (default preset) =="
-cmake --preset default
+echo "== tier-1: configure + build (-Werror) + ctest (default preset) =="
+# The default build is warning-free; -Werror keeps it that way.
+cmake --preset default -DMWX_WERROR=ON
 cmake --build --preset default --parallel "${jobs}"
 ctest --preset default -j "${jobs}"
 
@@ -278,10 +279,12 @@ cmake --preset tsan
 cmake --build --preset tsan --parallel "${jobs}"
 ctest --preset tsan -j "${jobs}"
 
-echo "== asan: kernel/force/engine/locality/scene suites (asan preset) =="
+echo "== asan: kernel/force/engine/locality/scene/executor suites (asan preset) =="
 # ASan + UBSan (no recovery): the LJ kernel reads CSR rows four entries at a
 # time and the Coulomb block reads the packed arrays eight at a time; any
-# read past a row, a buffer or a lane mask's intent fails here.
+# read past a row, a buffer or a lane mask's intent fails here.  The
+# ThreadPool/JobHandle/TaskQueue/Reentrancy suites run the executor's
+# spin-then-park waits and the shared-pool stack under the same checks.
 cmake --preset asan
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
 ctest --preset asan -j "${jobs}"

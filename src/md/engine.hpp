@@ -68,9 +68,9 @@ struct EngineConfig {
   // dense bulk crystal; a positive value here forces that width.
   int neighbor_capacity = 0;
 
-  HeapConfig heap;  // layout model for the simulated backend
+  HeapConfig heap{};  // layout model for the simulated backend
   TemporariesMode temporaries = TemporariesMode::JavaStyle;
-  CostTable costs;
+  CostTable costs{};
 
   // Observer-effect experiment knobs (Section IV-A).
   int monitor_updates_per_task = 0;  // JaMON-style synchronized updates

@@ -24,13 +24,20 @@
 // N jobs sharing one pool can each carry their own rings/accumulators (the
 // pool-level attach remains for whole-pool audits, but is no longer the
 // only owner).  Attach before the first submission with the handle.
+//
+// wait() follows the pool's spin-then-park policy (parallel/spin_wait.hpp):
+// it spins on an atomic pending count before parking on the monitor, so the
+// engine's phase barrier returns as soon as the last chain finishes instead
+// of paying a condition-variable wakeup per phase.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
 
+#include "parallel/spin_wait.hpp"
 #include "perf/native_pmu.hpp"
 #include "perf/trace_ring.hpp"
 
@@ -41,15 +48,18 @@ class FixedThreadPool;
 namespace detail {
 
 // Shared between every copy of a JobHandle and the wrapped tasks in flight.
-// A plain mutex/cv monitor: submission rates are bounded by the task-queue
-// mutex anyway, and the monitor keeps the accounting trivially race-free
-// (completed_ can never be observed ahead of submitted_).
+// A mutex/cv monitor keeps the accounting race-free (completed can never be
+// observed ahead of submitted).  `pending` mirrors submitted - completed for
+// waiters that spin before taking the monitor: it is changed under the mutex
+// and decremented with release once a task's effects (and its failure
+// record) are in place, so a waiter that reads 0 with acquire sees them all.
 struct JobState {
   mutable std::mutex mutex;
   mutable std::condition_variable cv;
   long long submitted = 0;
   long long completed = 0;
   long long failed = 0;
+  std::atomic<long long> pending{0};
   std::string first_error;  // message of the first task that threw
   // Per-job instrumentation (optional).  Wrapped tasks bracket themselves
   // with these, independent of any pool-level attachment.
@@ -60,6 +70,7 @@ struct JobState {
   void on_submit() {
     std::lock_guard lock(mutex);
     ++submitted;
+    pending.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Undo of on_submit when the pool rejected the push (shutdown race):
@@ -67,6 +78,7 @@ struct JobState {
   void on_revoke() {
     std::lock_guard lock(mutex);
     --submitted;
+    pending.fetch_sub(1, std::memory_order_release);
     if (completed == submitted) cv.notify_all();
   }
 
@@ -78,6 +90,7 @@ struct JobState {
       ++failed;
       if (first_error.empty()) first_error = error;
     }
+    pending.fetch_sub(1, std::memory_order_release);
     if (completed == submitted) cv.notify_all();
   }
 };
@@ -91,10 +104,13 @@ class JobHandle {
   // Blocks until every task submitted with this handle *so far* has
   // finished (successfully or not).  Unlike FixedThreadPool::quiesce(),
   // this cannot be starved by other clients of the same pool: only the
-  // job's own counters are consulted.
+  // job's own counters are consulted.  Spins on the pending count for up to
+  // kSpinBudget, then parks.
   void wait() const {
-    std::unique_lock lock(state_->mutex);
-    state_->cv.wait(lock, [s = state_.get()] { return s->completed == s->submitted; });
+    detail::JobState* s = state_.get();
+    if (spin_until([s] { return s->pending.load(std::memory_order_acquire) == 0; })) return;
+    std::unique_lock lock(s->mutex);
+    s->cv.wait(lock, [s] { return s->completed == s->submitted; });
   }
 
   // True when no task of this job has failed (so far).

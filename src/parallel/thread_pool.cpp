@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/require.hpp"
+#include "parallel/spin_wait.hpp"
 
 namespace mwx::parallel {
 
@@ -234,31 +235,35 @@ void FixedThreadPool::worker_main_stealing(int index) {
       run_one(std::move(*task));
       continue;
     }
-    // 3. Nothing anywhere: exit if draining is done, otherwise park until a
-    // submission (or shutdown) arrives.  `submitted_ > taken_` means some
-    // task is still sitting in a deque or inbox — rescan rather than sleep.
+    // 3. Nothing anywhere: exit if draining is done, otherwise wait until a
+    // submission (or shutdown) arrives — spinning first, then parking.
+    // `submitted_ > taken_` means some task is still sitting in a deque or
+    // inbox — rescan rather than sleep.
+    const auto work_or_closing = [this] {
+      return closing_.load(std::memory_order_acquire) ||
+             submitted_.load(std::memory_order_acquire) >
+                 taken_.load(std::memory_order_acquire);
+    };
+    if (!closing_.load(std::memory_order_acquire) && spin_until(work_or_closing)) continue;
     std::unique_lock lock(sleep_mutex_);
     if (closing_.load(std::memory_order_acquire) &&
         submitted_.load(std::memory_order_acquire) == taken_.load(std::memory_order_acquire)) {
       return;
     }
-    sleep_cv_.wait(lock, [this] {
-      return closing_.load(std::memory_order_acquire) ||
-             submitted_.load(std::memory_order_acquire) >
-                 taken_.load(std::memory_order_acquire);
-    });
+    sleep_cv_.wait(lock, work_or_closing);
   }
 }
 
 void FixedThreadPool::quiesce() {
   perf::TraceRing* trace = trace_.load(std::memory_order_acquire);
   const double trace_begin = trace != nullptr ? trace->now() : 0.0;
-  {
+  const auto drained = [this] {
+    return completed_.load(std::memory_order_acquire) ==
+           submitted_.load(std::memory_order_acquire);
+  };
+  if (!spin_until(drained)) {
     std::unique_lock lock(quiesce_mutex_);
-    quiesce_cv_.wait(lock, [this] {
-      return completed_.load(std::memory_order_acquire) ==
-             submitted_.load(std::memory_order_acquire);
-    });
+    quiesce_cv_.wait(lock, drained);
   }
   if (trace != nullptr) {
     const int lane = t_worker_pool == this ? t_worker_index : trace->external_lane();

@@ -19,6 +19,14 @@
 // Workers may optionally be pinned to PUs at startup (the JNI
 // sched_setaffinity experiment of Section V-B).
 //
+// An idle worker does not park right away, as a Java pool thread does: it
+// spins for up to kSpinBudget (parallel/spin_wait.hpp) on its queue's task
+// count — or, under WorkStealing, on `submitted > taken` — and parks on a
+// condition variable only when nothing arrived.  Between the barriers of a
+// sub-millisecond timestep the workers therefore stay awake, and a new
+// phase's tasks start without a wakeup.  The simulator (sim::Machine) still
+// models the JVM's park/unpark costs; this policy is the native pool's only.
+//
 // The pool is re-entrant: N independent clients (engines, tenants) may
 // submit concurrently and each track completion of its own work through a
 // JobHandle (parallel/job.hpp) — quiesce() remains the single-owner drain.
@@ -52,7 +60,7 @@ struct ThreadPoolConfig {
   int n_threads = 1;
   QueueMode queue_mode = QueueMode::Single;
   // When non-empty, worker i is pinned to pin_masks[i % pin_masks.size()].
-  std::vector<topo::CpuSet> pin_masks;
+  std::vector<topo::CpuSet> pin_masks{};
   std::string name_prefix = "mwx-worker";
 };
 
@@ -218,7 +226,8 @@ class FixedThreadPool {
   std::atomic<long long> steals_{0};
   std::mutex quiesce_mutex_;
   std::condition_variable quiesce_cv_;
-  // WorkStealing idle workers park here; submissions wake them.
+  // WorkStealing idle workers park here once their spin budget runs out;
+  // submissions wake them.
   std::mutex sleep_mutex_;
   std::condition_variable sleep_cv_;
   std::atomic<bool> closing_{false};

@@ -316,7 +316,7 @@ TEST(ThreadPmuTest, ReadsAreMonotonicAndLabelled) {
   const CounterSet a = pmu.read();
   // Burn some CPU so every live counter advances.
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i) * 1e-9;
   const CounterSet b = pmu.read();
 
   EXPECT_GT(b[Counter::kCpuNanos], a[Counter::kCpuNanos]);
@@ -336,7 +336,7 @@ TEST(PmuAccumulatorTest, AttributesToWorkerAndPhase) {
   PmuAccumulator acc(2);
   acc.task_begin();
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   acc.task_end(/*worker=*/1, /*phase_tag=*/4, /*tasks=*/3.0);
 
   const PmuReport r = acc.report();
@@ -511,7 +511,7 @@ TEST(SamplingProfilerTest, SurvivesPoolShutdownMidWindow) {
   for (int i = 0; i < 64; ++i) {
     pool->submit([] {
       volatile int x = 0;
-      for (int j = 0; j < 10000; ++j) x += j;
+      for (int j = 0; j < 10000; ++j) x = x + j;
     });
   }
   pool->quiesce();

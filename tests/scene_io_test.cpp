@@ -299,8 +299,8 @@ TEST(ArgsTest, ParsesAllForms) {
 TEST(ArgsTest, BadNumbersThrow) {
   const char* argv[] = {"prog", "--steps=abc"};
   Args args(2, const_cast<char**>(argv));
-  EXPECT_THROW(args.get_int("steps", 0), ContractError);
-  EXPECT_THROW(args.get_double("steps", 0), ContractError);
+  EXPECT_THROW((void)args.get_int("steps", 0), ContractError);
+  EXPECT_THROW((void)args.get_double("steps", 0), ContractError);
 }
 
 }  // namespace
