@@ -1,4 +1,5 @@
-// Workload-axis scaling: 10k -> 1M atoms, serial vs parallel rebuild.
+// Workload-axis scaling: 10k -> 1M atoms, one chunk vs T chunks per
+// rebuild pass.
 //
 // The paper parallelizes the force phases and leaves the housekeeping —
 // cell binning, the CSR prefix sum, any reordering pass — serial on the
@@ -6,31 +7,28 @@
 // bench sweeps a bulk fcc argon crystal across {10k, 100k, 1M} atoms and,
 // at every size:
 //
-//   * times each rebuild pass serial vs parallel (bin, prefix scan, Morton
-//     sort, scene serialization) and VERIFIES the parallel output is
-//     bit/byte-identical to the serial reference at 1/2/4/T threads;
-//   * runs the full native engine with parallel_rebuild off vs on
-//     (reorder_interval = 1, so every rebuild exercises the radix sort) and
-//     verifies the per-step total energies are bitwise equal;
-//   * repeats the bin/prefix verification on the solvated-droplet workload,
+//   * times each rebuild pass (bin, prefix scan, Morton sort, scene
+//     serialization) inline as one chunk vs fanned out as T chunks on the
+//     pool, and VERIFIES the output is bit/byte-identical to the one-chunk
+//     run at 1/2/4/T chunks;
+//   * repeats the bin/Morton verification on the solvated-droplet workload,
 //     whose wildly uneven cell occupancy is the stress case for the chunk
 //     histograms.
 //
 // Results land in BENCH_scaling.json; any verification failure makes the
 // process exit nonzero, so CI can gate on determinism, not just speed.
 //
-// Usage: scaling_atoms [max_atoms=1000000] [engine_steps=3] [threads=4]
-//                      [context_steps=0]
+// Usage: scaling_atoms [max_atoms=1000000] [threads=4] [context_steps=0]
 // A positive context_steps additionally prints the original simulated
 // quad-core refresh-rate table from the paper's introduction.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -79,23 +77,22 @@ void fake_counts(md::NeighborList& nl, int n) {
 }
 
 struct PhaseTimings {
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
+  double one_chunk_ms = 0.0;
+  double t_chunks_ms = 0.0;
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const int max_atoms = argc > 1 ? std::atoi(argv[1]) : 1000000;
-  const int engine_steps = argc > 2 ? std::atoi(argv[2]) : 3;
-  const int threads = argc > 3 ? std::max(1, std::atoi(argv[3])) : 4;
-  const int context_steps = argc > 4 ? std::atoi(argv[4]) : 0;
+  const int threads = argc > 2 ? std::max(1, std::atoi(argv[2])) : 4;
+  const int context_steps = argc > 3 ? std::atoi(argv[3]) : 0;
 
   bench::JsonEmitter json("scaling");
   json.set_provider("native");
   // Parallel wall-clock gains require real cores; on a 1-CPU host the sweep
-  // still proves byte-identity (the point CI gates on) while serial-vs-
-  // parallel timings read as overhead-only.  Record the budget so the
+  // still proves byte-identity (the point CI gates on) while one-vs-T-chunk
+  // timings read as overhead-only.  Record the budget so the
   // numbers are interpretable either way.
   json.metric("env", "hardware_concurrency",
               static_cast<double>(std::thread::hardware_concurrency()));
@@ -116,10 +113,11 @@ int main(int argc, char** argv) {
   }
   if (sizes.empty()) sizes.push_back(max_atoms);
 
-  std::cout << "Workload-axis scaling (bulk fcc argon), serial vs parallel rebuild\n"
+  std::cout << "Workload-axis scaling (bulk fcc argon), rebuild passes at 1 vs "
+            << threads << " chunks\n"
             << "pool: " << threads << " threads\n\n";
-  Table table({"Atoms", "bin ser/par ms", "prefix ser/par ms", "sort ser/par ms",
-               "scene ser/par ms", "identical?"});
+  Table table({"Atoms", "bin 1/T ms", "prefix 1/T ms", "sort 1/T ms", "scene 1/T ms",
+               "identical?"});
 
   for (int n : sizes) {
     md::MolecularSystem sys = workloads::make_bulk_crystal(n, 120.0, 42);
@@ -133,13 +131,13 @@ int main(int argc, char** argv) {
     double t0 = now_ms();
     ref_grid.bin(sys.positions());
     PhaseTimings bin_t;
-    bin_t.serial_ms = now_ms() - t0;
+    bin_t.one_chunk_ms = now_ms() - t0;
     md::CellGrid par_grid(sys.box().lo, sys.box().hi, reach);
     for (int t : thread_list) {
       t0 = now_ms();
       par_grid.bin(sys.positions(), &pool, t);
       const double ms = now_ms() - t0;
-      if (t == threads) bin_t.parallel_ms = ms;
+      if (t == threads) bin_t.t_chunks_ms = ms;
       size_ok &= check(grids_identical(ref_grid, par_grid),
                        size_tag + " bin @" + std::to_string(t) + " chunks");
     }
@@ -151,14 +149,14 @@ int main(int argc, char** argv) {
     t0 = now_ms();
     ref_nl.finalize_offsets();
     PhaseTimings prefix_t;
-    prefix_t.serial_ms = now_ms() - t0;
+    prefix_t.one_chunk_ms = now_ms() - t0;
     for (int t : thread_list) {
       par_nl.begin_rebuild(sys.positions());
       fake_counts(par_nl, n);
       t0 = now_ms();
       par_nl.finalize_offsets(&pool, t);
       const double ms = now_ms() - t0;
-      if (t == threads) prefix_t.parallel_ms = ms;
+      if (t == threads) prefix_t.t_chunks_ms = ms;
       size_ok &= check(offsets_identical(ref_nl, par_nl),
                        size_tag + " prefix @" + std::to_string(t) + " chunks");
     }
@@ -168,13 +166,13 @@ int main(int argc, char** argv) {
     const std::vector<int> ref_order =
         md::morton_order(sys.positions(), sys.box().lo, sys.box().hi, reach);
     PhaseTimings sort_t;
-    sort_t.serial_ms = now_ms() - t0;
+    sort_t.one_chunk_ms = now_ms() - t0;
     for (int t : thread_list) {
       t0 = now_ms();
       const std::vector<int> par_order =
           md::morton_order(sys.positions(), sys.box().lo, sys.box().hi, reach, &pool, t);
       const double ms = now_ms() - t0;
-      if (t == threads) sort_t.parallel_ms = ms;
+      if (t == threads) sort_t.t_chunks_ms = ms;
       size_ok &= check(par_order == ref_order,
                        size_tag + " morton @" + std::to_string(t) + " chunks");
     }
@@ -183,71 +181,38 @@ int main(int argc, char** argv) {
     t0 = now_ms();
     const std::string ref_text = serve::scene_text(sys);
     PhaseTimings scene_t;
-    scene_t.serial_ms = now_ms() - t0;
+    scene_t.one_chunk_ms = now_ms() - t0;
     const std::uint64_t ref_hash = serve::SceneCache::content_hash(ref_text);
     for (int t : thread_list) {
       t0 = now_ms();
       const std::string par_text = serve::scene_text(sys, &pool, t);
       const double ms = now_ms() - t0;
-      if (t == threads) scene_t.parallel_ms = ms;
+      if (t == threads) scene_t.t_chunks_ms = ms;
       size_ok &= check(par_text == ref_text &&
                            serve::SceneCache::content_hash(par_text) == ref_hash,
                        size_tag + " scene @" + std::to_string(t) + " chunks");
     }
 
     const std::string rg = "rebuild." + size_tag;
-    json.metric(rg, "bin_serial_ms", bin_t.serial_ms);
-    json.metric(rg, "bin_parallel_ms", bin_t.parallel_ms);
-    json.metric(rg, "prefix_serial_ms", prefix_t.serial_ms);
-    json.metric(rg, "prefix_parallel_ms", prefix_t.parallel_ms);
-    json.metric(rg, "sort_serial_ms", sort_t.serial_ms);
-    json.metric(rg, "sort_parallel_ms", sort_t.parallel_ms);
-    json.metric(rg, "scene_serial_ms", scene_t.serial_ms);
-    json.metric(rg, "scene_parallel_ms", scene_t.parallel_ms);
+    for (const auto& [phase, t] : {std::pair{"bin", bin_t}, std::pair{"prefix", prefix_t},
+                                   std::pair{"sort", sort_t}, std::pair{"scene", scene_t}}) {
+      json.metric(rg, std::string(phase) + "_one_chunk_ms", t.one_chunk_ms);
+      json.metric(rg, std::string(phase) + "_t_chunks_ms", t.t_chunks_ms);
+    }
     json.metric(rg, "scene_bytes", static_cast<double>(ref_text.size()));
     // Modelled-vs-measured anchor for the cost table's scene_format_atom
     // (there is no run_simulated site for serialization — it happens outside
     // the step loop — so the calibration lives here).
-    json.metric(rg, "scene_serial_ns_per_atom", scene_t.serial_ms * 1e6 / n);
+    json.metric(rg, "scene_one_chunk_ns_per_atom", scene_t.one_chunk_ms * 1e6 / n);
 
     auto spair = [](const PhaseTimings& t) {
       std::ostringstream os;
-      os << Table::fixed(t.serial_ms, 1) << " / " << Table::fixed(t.parallel_ms, 1);
+      os << Table::fixed(t.one_chunk_ms, 1) << " / " << Table::fixed(t.t_chunks_ms, 1);
       return os.str();
     };
     table.row(n, spair(bin_t), spair(prefix_t), spair(sort_t), spair(scene_t),
               size_ok ? "yes" : "NO");
     json.metric("verify", size_tag + "_phases_identical", size_ok ? 1 : 0);
-
-    // --- Engine ablation: parallel_rebuild off vs on -----------------------
-    // reorder_interval = 1 puts the Morton sort on every rebuild; the
-    // per-step total energies must match bit for bit.
-    std::vector<double> energies[2];
-    double wall[2] = {0.0, 0.0};
-    for (int mode = 0; mode < 2; ++mode) {
-      md::MolecularSystem esys = workloads::make_bulk_crystal(n, 120.0, 42);
-      md::EngineConfig cfg;
-      cfg.n_threads = threads;
-      cfg.reorder_interval = 1;
-      cfg.parallel_rebuild = mode == 1;
-      md::Engine engine(std::move(esys), cfg);
-      const double w0 = now_ms();
-      for (int s = 0; s < engine_steps; ++s) {
-        engine.run_native(pool, 1);
-        energies[mode].push_back(engine.total_energy());
-      }
-      wall[mode] = now_ms() - w0;
-    }
-    const bool energy_ok =
-        std::memcmp(energies[0].data(), energies[1].data(),
-                    energies[0].size() * sizeof(double)) == 0;
-    check(energy_ok, size_tag + " engine ablation energy bit-equality");
-    const std::string eg = "engine." + size_tag;
-    json.metric(eg, "steps", engine_steps);
-    json.metric(eg, "threads", threads);
-    json.metric(eg, "serial_rebuild_ms", wall[0]);
-    json.metric(eg, "parallel_rebuild_ms", wall[1]);
-    json.metric("verify", size_tag + "_engine_energy_identical", energy_ok ? 1 : 0);
   }
   table.print(std::cout);
 

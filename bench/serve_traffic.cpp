@@ -20,7 +20,7 @@
 //     are checkpointed every quantum and re-enqueued while small jobs (which
 //     carry deadline_ms) jump ahead via EDF; small-job p99 should drop.
 //
-// Correctness gate, same contract as bench/raw_speed: every completed job's
+// Correctness gate, the engine's bit-identity contract: every completed job's
 // final (pe, ke) must be BITWISE equal to the same scene + config run on a
 // dedicated single-engine pool — *including every preempted-and-resumed bulk
 // job*, whose continuation chain restores from "mws 2" checkpoint text.

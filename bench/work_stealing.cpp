@@ -178,9 +178,9 @@ int main(int argc, char** argv) {
   }
   native_table.print(std::cout);
 
-  std::cout << "\nwork stealing pairs contiguous chunks (block-local scatter, see\n"
-               "sparse_reduce) with dynamic balance: the triangle's heavy chunks\n"
-               "migrate to idle workers instead of serializing on their owner.\n";
+  std::cout << "\nwork stealing pairs contiguous chunks (block-local scatter, which\n"
+               "the sparse reduction skips) with dynamic balance: the triangle's heavy\n"
+               "chunks migrate to idle workers instead of serializing on their owner.\n";
   json.note("meta", "machine", "core_i7_920 (simulated)");
   std::cout << "wrote " << json.write() << "\n";
   return synth_ok ? 0 : 1;

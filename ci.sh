@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# CI gate: the tier-1 verify (full build with -Werror + test suite), the asan
-# preset's kernel/force/engine/locality/scene/executor suites, plus the tsan
-# preset's concurrency suites (StealDeque/ThreadPool/TaskQueue/QueueModes/
-# Latch/Barrier/TraceRing/JobHandle/Reentrancy/Serve/SceneCache/
-# RebuildParallel), which pin the lock-free executor paths, the
-# idempotent-shutdown fix, the trace ring's merge-at-read protocol, the
-# re-entrant shared-pool/serve stack and the parallel rebuild pipeline.
+# CI gate, ten stages: the tier-1 verify (full build with -Werror + test
+# suite); smoke runs of the locality, counters/report, planner, serve and
+# 100k-atom rebuild emitters and of the repository benchmark (bench/e2e);
+# the forced-scalar preset's full suite; the tsan preset's concurrency suites
+# (StealDeque/ThreadPool/TaskQueue/QueueModes/Latch/Barrier/TraceRing/
+# JobHandle/Reentrancy/Serve/SceneCache/RebuildParallel), which pin the
+# lock-free executor paths, the idempotent-shutdown fix, the trace ring's
+# merge-at-read protocol, the re-entrant shared-pool/serve stack and the
+# chunked rebuild pipeline; and the asan preset's kernel/force/engine/
+# reduction/rebuild/locality/scene/executor suites.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -128,38 +131,6 @@ print(f"PLAN OK: {len(configs)} configs, {len(validated)} validated, worst error
 EOF
 rm -rf "${planner_dir}"
 
-echo "== bench smoke: raw_speed ablation emitter (tiny sizes) =="
-# The tier-2 speed ablation must keep its bit-identity guarantees (the bench
-# exits nonzero on any energy mismatch vs the scalar inline reference) and
-# its JSON schema: one variant_* group per cumulative ablation step plus the
-# PME micro-timing group.
-cmake --build --preset default --parallel "${jobs}" --target raw_speed
-raw_dir=$(mktemp -d)
-(cd "${raw_dir}" && "${repo_root}/build/bench/raw_speed" 512 6 4 2 >/dev/null)
-python3 - "${raw_dir}/BENCH_raw_speed.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["bench"] == "raw_speed", doc.get("bench")
-assert doc.get("schema_version") == 2, f"schema_version: {doc.get('schema_version')}"
-assert doc.get("git_sha"), "git_sha missing or empty"
-assert doc.get("provider") == "native", f"provider: {doc.get('provider')}"
-variants = ["baseline", "tiled_coulomb", "overlap", "numa"]
-for i, v in enumerate(variants):
-    g = doc.get("variant_" + v)
-    assert g, f"missing variant_{v} group"
-    assert int(float(g["order"])) == i, f"variant_{v} out of order"
-    assert float(g["seconds_per_step"]) > 0.0, f"variant_{v} has no timing"
-    assert float(g["energy_bits_match_scalar"]) == 1.0, \
-        f"variant_{v} diverged from the scalar reference"
-assert float(doc["variant_baseline"]["speedup_vs_baseline"]) == 1.0
-pme = doc["pme"]
-assert float(pme["bits_match"]) == 1.0, "PME vectorized path diverged"
-assert float(pme["scalar_seconds"]) > 0.0 and float(pme["vectorized_seconds"]) > 0.0
-print("BENCH_raw_speed.json OK:", len(variants), "variants + pme micro")
-EOF
-rm -rf "${raw_dir}"
-
 echo "== serve smoke: multi-tenant scheduler + traffic emitter =="
 # The simulation-as-a-service acceptance gate.  mwx_serve runs >=8 concurrent
 # jobs from 2 tenants over one shared pool — once uninterrupted and once with
@@ -220,15 +191,15 @@ print("BENCH_serve.json OK: both phases, preempted jobs bit-checked,"
 EOF
 rm -rf "${serve_dir}"
 
-echo "== scale smoke: 100k-atom parallel-rebuild determinism gate =="
-# The workload-axis gate: a 100k-atom bulk crystal through every parallel
-# rebuild pass (bin / prefix scan / Morton radix / chunked scene serializer)
-# at 1/2/4/T threads, plus a short native engine run with parallel_rebuild
-# off vs on.  scaling_atoms exits nonzero on ANY byte/bit divergence from the
-# serial references, so the schema check below only runs on verified output.
+echo "== scale smoke: 100k-atom chunked-rebuild determinism gate =="
+# The workload-axis gate: a 100k-atom bulk crystal through every chunked
+# rebuild pass (bin / prefix scan / Morton radix / scene serializer) at
+# 1/2/4/T chunks.  scaling_atoms exits nonzero on ANY byte/bit divergence
+# from the one-chunk run, so the schema check below only runs on verified
+# output.
 cmake --build --preset default --parallel "${jobs}" --target scaling_atoms
 scale_dir=$(mktemp -d)
-(cd "${scale_dir}" && "${repo_root}/build/bench/scaling_atoms" 100000 2 4 0 >/dev/null)
+(cd "${scale_dir}" && "${repo_root}/build/bench/scaling_atoms" 100000 4 0 >/dev/null)
 python3 - "${scale_dir}/BENCH_scaling.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -240,12 +211,10 @@ assert doc.get("provider") == "native", f"provider: {doc.get('provider')}"
 for n in (10000, 100000):
     rg = doc[f"rebuild.n{n}"]
     for phase in ("bin", "prefix", "sort", "scene"):
-        for mode in ("serial", "parallel"):
+        for mode in ("one_chunk", "t_chunks"):
             k = f"{phase}_{mode}_ms"
             assert float(rg[k]) >= 0.0, f"rebuild.n{n} missing {k}"
     assert float(rg["scene_bytes"]) > 0.0
-    eg = doc[f"engine.n{n}"]
-    assert float(eg["serial_rebuild_ms"]) > 0.0 and float(eg["parallel_rebuild_ms"]) > 0.0
 verify = doc["verify"]
 assert verify, "verify group missing"
 for key, flag in verify.items():
@@ -268,8 +237,8 @@ bench/e2e/run.sh --smoke --trace
 python3 bench/e2e/check_output.py BENCH_e2e_trace.json
 
 echo "== forced-scalar: build + ctest with MWX_AVX2=OFF (scalar preset) =="
-# The bit-identity suites must hold in both ISAs: the vectorized lane loops
-# are value-preserving claims about *expressions*, not about AVX2.
+# The bit-identity suites must hold in both ISAs: the native kernels and lane
+# loops are value-preserving claims about *expressions*, not about AVX2.
 cmake --preset scalar
 cmake --build --preset scalar --parallel "${jobs}"
 ctest --preset scalar -j "${jobs}"
@@ -283,6 +252,8 @@ echo "== asan: kernel/force/engine/locality/scene/executor suites (asan preset) 
 # ASan + UBSan (no recovery): the LJ kernel reads CSR rows four entries at a
 # time and the Coulomb block reads the packed arrays eight at a time; any
 # read past a row, a buffer or a lane mask's intent fails here.  The
+# SparseReduce and RebuildParallel suites run the reduction at 300 slots and
+# the chunked rebuild passes down to empty and single-atom inputs.  The
 # ThreadPool/JobHandle/TaskQueue/Reentrancy suites run the executor's
 # spin-then-park waits and the shared-pool stack under the same checks.
 cmake --preset asan

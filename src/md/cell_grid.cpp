@@ -46,43 +46,20 @@ int CellGrid::cell_of(const Vec3& p) const {
   return (cz * ny_ + cy) * nx_ + cx;
 }
 
-void CellGrid::bin(std::span<const Vec3> positions) {
-  const std::size_t n = positions.size();
-  scratch_.resize(n);
-  std::fill(start_.begin(), start_.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int c = cell_of(positions[i]);
-    scratch_[i] = c;
-    ++start_[static_cast<std::size_t>(c) + 1];
-  }
-  for (std::size_t c = 1; c < start_.size(); ++c) start_[c] += start_[c - 1];
-  occupants_.resize(n);
-  // Reused member cursors: this is the hottest rebuild loop, and a fresh
-  // vector per call was steady-state allocator churn.
-  cursor_.assign(start_.begin(), start_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    occupants_[static_cast<std::size_t>(cursor_[static_cast<std::size_t>(scratch_[i])]++)] =
-        static_cast<int>(i);
-  }
-}
-
 void CellGrid::bin(std::span<const Vec3> positions, parallel::FixedThreadPool* pool,
                    int n_chunks) {
   const std::size_t n = positions.size();
-  if (pool == nullptr || n_chunks <= 1 || n < 2) {
-    bin(positions);
-    return;
-  }
   const std::size_t nc = static_cast<std::size_t>(n_cells());
-  const int chunks = static_cast<int>(
-      std::min(static_cast<long long>(n_chunks), static_cast<long long>(n)));
+  // One chunk on a null pool, and at least one for n == 0: the cell scan
+  // below must still rewrite every row start.
+  const int chunks =
+      pool == nullptr ? 1 : std::clamp(n_chunks, 1, static_cast<int>(std::max<std::size_t>(n, 1)));
   scratch_.resize(n);
   occupants_.resize(n);
   chunk_counts_.assign(static_cast<std::size_t>(chunks) * nc, 0);
 
   // Phase A (parallel over atom chunks): cell ids + per-chunk histograms.
-  // cell_of is the same expression as the serial pass, so scratch_ bits
-  // match; each chunk owns one contiguous count row (no sharing).
+  // Each chunk owns one contiguous count row (no sharing).
   parallel::for_chunks(pool, chunks, static_cast<long long>(n),
                        [&](int k, long long b, long long e) {
     int* counts = chunk_counts_.data() + static_cast<std::size_t>(k) * nc;
@@ -134,8 +111,8 @@ void CellGrid::bin(std::span<const Vec3> positions, parallel::FixedThreadPool* p
   // Phase C (parallel over atom chunks): stable in-order scatter.  Chunk k's
   // cursors live in its own count row; within every cell the chunk bases are
   // ordered k = 0, 1, ... and each chunk scans its atoms in ascending index,
-  // so occupants_ comes out in ascending atom index per cell — byte-identical
-  // to the serial counting sort.
+  // so occupants_ comes out in ascending atom index per cell for any chunk
+  // count.
   parallel::for_chunks(pool, chunks, static_cast<long long>(n),
                        [&](int k, long long b, long long e) {
     int* cursors = chunk_counts_.data() + static_cast<std::size_t>(k) * nc;

@@ -23,21 +23,15 @@ class CellGrid {
   // cells are at least that wide in every dimension.
   CellGrid(const Vec3& lo, const Vec3& hi, double reach);
 
-  // Rebuilds the cell contents from scratch (classic head/next linked
-  // lists, flattened into a CSR-style occupancy table for fast scanning).
-  // This serial counting sort is the reference the parallel overload must
-  // reproduce byte-for-byte.
-  void bin(std::span<const Vec3> positions);
-
-  // Deterministic parallel rebuild: per-chunk per-cell count arrays over
-  // index-contiguous atom chunks, a block-wise prefix merge over the cells,
-  // then a stable in-order scatter.  Within every cell the occupants are
-  // chunk 0's atoms (in index order), then chunk 1's, ... — which IS
-  // ascending atom index, i.e. exactly the serial counting sort's order — so
-  // start_/occupants_ are byte-identical to bin(positions) for ANY pool
-  // width or chunk count.  Falls back to the serial path when `pool` is null
-  // or the fan-out degenerates.
-  void bin(std::span<const Vec3> positions, parallel::FixedThreadPool* pool, int n_chunks);
+  // Rebuilds the cell contents from scratch as a deterministic counting
+  // sort: per-chunk per-cell count arrays over index-contiguous atom chunks,
+  // a block-wise prefix merge over the cells, then a stable in-order
+  // scatter.  Within every cell the occupants are chunk 0's atoms (in index
+  // order), then chunk 1's, ... — which IS ascending atom index — so the
+  // cell table does not depend on the pool width or chunk count.  A null
+  // pool runs the passes inline as one chunk.
+  void bin(std::span<const Vec3> positions, parallel::FixedThreadPool* pool = nullptr,
+           int n_chunks = 1);
 
   [[nodiscard]] int n_cells() const { return nx_ * ny_ * nz_; }
   [[nodiscard]] int nx() const { return nx_; }
@@ -72,10 +66,9 @@ class CellGrid {
   int nx_, ny_, nz_;
   std::vector<int> start_;      // n_cells + 1
   std::vector<int> occupants_;  // atom ids grouped by cell
-  std::vector<int> scratch_;    // per-atom cell id of the current bin pass
-  std::vector<int> cursor_;     // serial scatter cursors (reused across rebuilds)
-  std::vector<int> chunk_counts_;  // parallel bin: per-(chunk, cell) counts/bases
-  std::vector<int> block_base_;    // parallel bin: per-cell-block scan bases
+  std::vector<int> scratch_;       // per-atom cell id of the current bin pass
+  std::vector<int> chunk_counts_;  // per-(chunk, cell) counts, then scatter cursors
+  std::vector<int> block_base_;    // per-cell-block scan bases
 };
 
 }  // namespace mwx::md

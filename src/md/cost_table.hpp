@@ -1,7 +1,7 @@
 // Arithmetic-cost model of the MD kernels, in core cycles.
 //
 // The traced execution charges these per-operation costs to the machine
-// simulator.  Values approximate an unvectorized JIT-compiled Java kernel on
+// simulator.  Values approximate a scalar (non-SIMD) JIT-compiled Java kernel on
 // a Nehalem-class core (the paper's reference hardware); EXPERIMENTS.md
 // records the calibration.  Only ratios matter for the reproduced shapes:
 // Coulomb pairs are several times costlier than LJ pairs (sqrt + divides),
@@ -18,42 +18,45 @@ namespace mwx::md {
 // Every artifact emitter (PMU_*, TRACE_*, PLAN_*) embeds this table so
 // consumers (tools/mwx-report) never carry their own copy.  Tag 0 is untagged
 // pool work; engine.cpp static_asserts the PhaseId enum against these indices.
+// A retired tag keeps its slot as nullptr, so no later phase reuses its
+// number in artifacts keyed on it.
 inline constexpr const char* kPhaseTagNames[] = {
-    "untagged",        // 0
-    "predictor",       // 1  kPhasePredictor
-    "nlist-check",     // 2  kPhaseCheck
-    "neighbor-count",  // 3  kPhaseNeighborCount
-    "forces",          // 4  kPhaseForces
-    "reduce",          // 5  kPhaseReduce
-    "corrector",       // 6  kPhaseCorrector
-    "overlap",         // 7  kPhaseOverlap
-    "bin",             // 8  kPhaseBin
-    "nbr-prefix",      // 9  kPhaseNbrPrefix
-    "morton-sort",     // 10 kPhaseMortonSort
+    "untagged",     // 0
+    "predictor",    // 1  kPhasePredictor
+    "nlist-check",  // 2  kPhaseCheck
+    nullptr,        // 3  retired (the unoverlapped CSR count pass)
+    "forces",       // 4  kPhaseForces
+    "reduce",       // 5  kPhaseReduce
+    "corrector",    // 6  kPhaseCorrector
+    "overlap",      // 7  kPhaseOverlap
+    "bin",          // 8  kPhaseBin
+    "nbr-prefix",   // 9  kPhaseNbrPrefix
+    "morton-sort",  // 10 kPhaseMortonSort
 };
 inline constexpr int kNumPhaseTags = sizeof(kPhaseTagNames) / sizeof(kPhaseTagNames[0]);
 
-// Stable name for a tag, or nullptr for tags outside the engine vocabulary
-// (consumers fall back to "phase-<tag>").
+// Stable name for a tag, or nullptr for retired tags and tags outside the
+// engine vocabulary (consumers fall back to "phase-<tag>").
 [[nodiscard]] inline const char* phase_tag_name(int tag) {
   return tag >= 0 && tag < kNumPhaseTags ? kPhaseTagNames[tag] : nullptr;
 }
 
-// The table as a map, in the shape the JSON emitters consume.
+// The live tags as a map, in the shape the JSON emitters consume.
 [[nodiscard]] inline std::map<int, std::string> phase_tag_name_map() {
   std::map<int, std::string> out;
-  for (int t = 0; t < kNumPhaseTags; ++t) out.emplace(t, kPhaseTagNames[t]);
+  for (int t = 0; t < kNumPhaseTags; ++t) {
+    if (kPhaseTagNames[t] != nullptr) out.emplace(t, kPhaseTagNames[t]);
+  }
   return out;
 }
 
 struct CostTable {
   double predictor_atom = 28.0;
   double check_atom = 9.0;
-  double bin_atom = 45.0;           // serial linked-cell repopulation
   double nbr_candidate = 11.0;      // distance test against a cell occupant
   double nbr_accept = 7.0;          // appending one neighbor entry
   double nbr_count_store = 4.0;     // storing one atom's CSR row count
-  double nbr_prefix_atom = 2.5;     // serial prefix-sum step per atom
+  double nbr_prefix_atom = 2.5;     // prefix-scan step per atom (parallel)
   double reorder_atom = 95.0;       // moving one atom's state in a Morton pass
   double lj_pair = 55.0;
   double coulomb_pair = 115.0;
@@ -64,14 +67,14 @@ struct CostTable {
   double corrector_atom = 22.0;
   double wall_check_atom = 6.0;
 
-  // --- Parallel rebuild pipeline ---------------------------------------------
-  // Charged instead of the serial bin/prefix lump sums when
-  // EngineConfig::parallel_rebuild is set: the simulator then runs the
-  // rebuild as real parallel phases (kPhaseBin / kPhaseNbrPrefix /
-  // kPhaseMortonSort), so the modelled serial fraction tracks the native
-  // pipeline's instead of the paper's all-serial housekeeping.
+  // --- Rebuild pipeline ------------------------------------------------------
+  // The simulator runs the rebuild as parallel phases (kPhaseBin /
+  // kPhaseNbrPrefix / kPhaseMortonSort), so the modelled serial fraction
+  // tracks the native pipeline's rather than the paper's all-serial
+  // housekeeping.
   double bin_count_atom = 25.0;    // cell id + per-chunk histogram (parallel)
-  double bin_scatter_atom = 20.0;  // stable in-order scatter; count + scatter == bin_atom
+  double bin_scatter_atom = 20.0;  // stable in-order scatter (parallel); count +
+                                   // scatter = 45 cycles per binned atom
   double bin_merge_cell = 6.0;     // per-cell block-prefix merge (parallel over cell blocks)
   double morton_sort_atom = 52.0;  // key build + LSD radix passes, per atom (parallel)
   double scene_format_atom = 900.0;  // formatting one atom record in the chunked serializer

@@ -187,9 +187,9 @@ std::vector<Engine::TaskDesc> Engine::forces_aux_tasks() const {
 
 std::vector<Engine::TaskDesc> Engine::forces_phase_tasks() const {
   // Canonical phase-4 order: aux kinds first, LJ last.  Per accumulation
-  // slot this is the exact serial-chain order the overlapped rebuild
-  // schedule reproduces (aux in kPhaseOverlap, LJ in kPhaseForces), so both
-  // schedules accumulate every buffer in the same floating-point order.
+  // slot this is the exact serial-chain order a rebuild step reproduces
+  // (aux in kPhaseOverlap, LJ in kPhaseForces), so rebuild and plain steps
+  // accumulate every buffer in the same floating-point order.
   std::vector<TaskDesc> tasks = forces_aux_tasks();
   const std::vector<TaskDesc> lj = forces_lj_tasks();
   tasks.insert(tasks.end(), lj.begin(), lj.end());
@@ -215,8 +215,8 @@ void Engine::run_task(const TaskDesc& t, int buffer, Mem& mem) {
                                buffers_, buffer, t.begin, t.end, t.stride, mem);
       break;
     case Kind::Coulomb:
-      coulomb_chunk(sys_, config_.costs, buffers_, buffer, t.begin, t.end, t.stride, mem,
-                    config_.tiled_coulomb, &packed_charges_);
+      coulomb_chunk(sys_, config_.costs, packed_charges_, buffers_, buffer, t.begin, t.end,
+                    t.stride, mem);
       break;
     case Kind::RadialBonds:
       radial_bond_chunk(sys_, config_.costs, buffers_, buffer, t.begin, t.end, mem);
@@ -228,8 +228,7 @@ void Engine::run_task(const TaskDesc& t, int buffer, Mem& mem) {
       torsion_bond_chunk(sys_, config_.costs, buffers_, buffer, t.begin, t.end, mem);
       break;
     case Kind::Reduce:
-      reduce_chunk(sys_, config_.costs, buffers_, t.begin, t.end, mem,
-                   config_.sparse_reduction);
+      reduce_chunk_sparse(sys_, config_.costs, buffers_, t.begin, t.end, mem);
       break;
     case Kind::Corrector:
       corrector_chunk(sys_, config_.dt_fs, config_.costs, buffers_, buffer, t.begin, t.end,
@@ -378,13 +377,12 @@ void Engine::charge_rebuild_phase(sim::Machine* machine, int tag, double per_ite
 
 void Engine::master_rebuild_prologue(parallel::FixedThreadPool* pool,
                                      sim::Machine* machine) {
-  // parallel_rebuild routes the housekeeping passes through the worker pool;
-  // every parallel overload is bit/byte-identical to its serial reference
-  // (see cell_grid/morton/neighbor_list), so the trajectory cannot depend on
-  // this switch.  The traced backend has no pool — it executes the serial
-  // path — but charges the machine as if the fan-out ran, mirroring how the
-  // traced force phases execute inline yet are timed as parallel work.
-  parallel::FixedThreadPool* rebuild_pool = config_.parallel_rebuild ? pool : nullptr;
+  // The housekeeping passes fan out over the worker pool in n_threads
+  // chunks; each is chunk-count-invariant (see cell_grid/morton/
+  // neighbor_list), so inline and traced runs — no pool, one chunk — build
+  // the same grid, order and offsets.  The traced backend charges the
+  // machine as if the fan-out ran, mirroring how the traced force phases
+  // execute inline yet are timed as parallel work.
   const int chunks = config_.n_threads;
   const long long n = sys_.n_atoms();
 
@@ -396,31 +394,23 @@ void Engine::master_rebuild_prologue(parallel::FixedThreadPool* pool,
   // raw indices across the rebuild.
   if (config_.reorder_interval > 0 &&
       nlist_.rebuild_count() % config_.reorder_interval == 0) {
-    const std::vector<int> order =
-        rebuild_pool != nullptr
-            ? morton_order(sys_.positions(), sys_.box().lo, sys_.box().hi,
-                           config_.cutoff + config_.skin, rebuild_pool, chunks)
-            : morton_order(sys_.positions(), sys_.box().lo, sys_.box().hi,
-                           config_.cutoff + config_.skin);
+    const std::vector<int> order = morton_order(sys_.positions(), sys_.box().lo,
+                                                sys_.box().hi, config_.cutoff + config_.skin,
+                                                pool, chunks);
     sys_.permute(order);
     heap_.permute_objects(order);
     if (machine != nullptr) {
-      if (config_.parallel_rebuild) {
-        // Key build + radix passes fan out; the state permutation itself
-        // stays a serial master gather (it is in the native path too).
-        charge_rebuild_phase(machine, kPhaseMortonSort, config_.costs.morton_sort_atom, n);
-        machine->run_serial(config_.costs.reorder_atom * sys_.n_atoms());
-      } else {
-        machine->run_serial(config_.costs.reorder_atom * sys_.n_atoms());
-      }
+      // Key build + radix passes fan out; the state permutation itself
+      // stays a serial master gather (it is in the native path too).
+      charge_rebuild_phase(machine, kPhaseMortonSort, config_.costs.morton_sort_atom, n);
+      machine->run_serial(config_.costs.reorder_atom * sys_.n_atoms());
     }
   }
 
-  // Repopulate the linked cells (parallel counting sort under
-  // parallel_rebuild, the serial reference otherwise), snapshot reference
-  // positions, and (for the data-packing experiment) request an object
-  // reorder in cell-traversal order.
-  grid_.bin(sys_.positions(), rebuild_pool, chunks);
+  // Repopulate the linked cells, snapshot reference positions, and (for the
+  // data-packing experiment) request an object reorder in cell-traversal
+  // order.
+  grid_.bin(sys_.positions(), pool, chunks);
   nlist_.begin_rebuild(sys_.positions());
   if (config_.reorder_on_rebuild) {
     std::vector<int> order;
@@ -432,24 +422,18 @@ void Engine::master_rebuild_prologue(parallel::FixedThreadPool* pool,
     }
     heap_.reorder(order);
   }
-  if (machine != nullptr) {
-    if (config_.parallel_rebuild) {
-      charge_rebuild_phase(machine, kPhaseBin,
-                           config_.costs.bin_count_atom + config_.costs.bin_scatter_atom,
-                           n, config_.costs.bin_merge_cell, grid_.n_cells());
-    } else {
-      machine->run_serial(config_.costs.bin_atom * sys_.n_atoms());
-    }
-  }
+  charge_rebuild_phase(machine, kPhaseBin,
+                       config_.costs.bin_count_atom + config_.costs.bin_scatter_atom, n,
+                       config_.costs.bin_merge_cell, grid_.n_cells());
 }
 
 void Engine::pack_charges() {
-  if (!config_.tiled_coulomb || sys_.n_charged() == 0) return;
-  // Serial master work: refresh the charged-atom SoA snapshot the lane loop
-  // streams.  Bits are copied verbatim, so the vector path subtracts the
-  // same values the scalar path reads through the index list.  Runs after
-  // the predictor (positions moved) and after any rebuild reorder (indices
-  // permuted), before the force dispatch.
+  if (sys_.n_charged() == 0) return;
+  // Serial master work: refresh the charged-atom SoA snapshot the native
+  // Coulomb kernel streams.  Bits are copied verbatim, so the kernel
+  // subtracts the same values the scalar loop reads through the index list.
+  // Runs after the predictor (positions moved) and after any rebuild
+  // reorder (indices permuted), before the force dispatch.
   packed_charges_.pack(sys_);
 }
 
@@ -465,45 +449,24 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine) {
   rebuild_now_ = rebuild_flag_.load(std::memory_order_relaxed);
 
   // Phases 3+4 (fused): optional rebuild + all force computations.  The CSR
-  // rebuild inserts a parallel count pass and a serial prefix sum between
-  // the master prologue and the fill-and-compute phase.  With overlap_rebuild
-  // the count pass shares one dispatch with the aux force kinds (which never
-  // read the neighbor list) and only LJ waits behind the prefix sum; the
-  // fallback keeps count and forces as separate phases.  Either way each
-  // accumulation slot's serial chain sees aux-then-LJ, so the schedules are
-  // bit-identical.
+  // rebuild inserts a count pass and a prefix scan between the master
+  // prologue and the fill-and-compute phase.  The count pass shares one
+  // dispatch with the aux force kinds (which never read the neighbor list)
+  // and only LJ waits behind the prefix scan; each accumulation slot's
+  // serial chain still sees aux-then-LJ, the order of a non-rebuild step.
   if (rebuild_now_) {
     master_rebuild_prologue(pool, machine);
     pack_charges();
-    // CSR prefix sum: the two-level parallel block scan under
-    // parallel_rebuild (exact integer arithmetic — identical offsets), the
-    // serial reference scan otherwise.  This is the serial barrier the
-    // overlapped schedule used to leave between the count pass and the LJ
-    // fill; parallelizing it removes the last O(n) master-side stretch.
-    auto finalize = [&] {
-      nlist_.finalize_offsets(config_.parallel_rebuild ? pool : nullptr,
-                              config_.n_threads);
-      if (machine != nullptr) {
-        if (config_.parallel_rebuild) {
-          charge_rebuild_phase(machine, kPhaseNbrPrefix,
-                               config_.costs.nbr_prefix_atom, sys_.n_atoms());
-        } else {
-          machine->run_serial(config_.costs.nbr_prefix_atom * sys_.n_atoms());
-        }
-      }
-    };
-    if (config_.overlap_rebuild) {
-      std::vector<TaskDesc> fused = neighbor_count_tasks();
-      const std::vector<TaskDesc> aux = forces_aux_tasks();
-      fused.insert(fused.end(), aux.begin(), aux.end());
-      exec_phase(pool, machine, kPhaseOverlap, fused);
-      finalize();
-      exec_phase(pool, machine, kPhaseForces, forces_lj_tasks());
-    } else {
-      exec_phase(pool, machine, kPhaseNeighborCount, neighbor_count_tasks());
-      finalize();
-      exec_phase(pool, machine, kPhaseForces, forces_phase_tasks());
-    }
+    std::vector<TaskDesc> fused = neighbor_count_tasks();
+    const std::vector<TaskDesc> aux = forces_aux_tasks();
+    fused.insert(fused.end(), aux.begin(), aux.end());
+    exec_phase(pool, machine, kPhaseOverlap, fused);
+    // CSR prefix sum: the two-level block scan (exact integer arithmetic,
+    // so the offsets do not depend on the chunk count).
+    nlist_.finalize_offsets(pool, config_.n_threads);
+    charge_rebuild_phase(machine, kPhaseNbrPrefix, config_.costs.nbr_prefix_atom,
+                         sys_.n_atoms());
+    exec_phase(pool, machine, kPhaseForces, forces_lj_tasks());
   } else {
     pack_charges();
     exec_phase(pool, machine, kPhaseForces, forces_phase_tasks());

@@ -89,56 +89,27 @@ struct EngineConfig {
   // layout.  0 disables the pass (the seed-identical default).
   int reorder_interval = 0;
 
-  // Evaluate the Coulomb inner loop with the tiled kernel (same lane-loop
-  // discipline, same bit-identity guarantee; bench/raw_speed ablates it).
-  bool tiled_coulomb = true;
-
-  // On rebuild steps, run the CSR neighbor-count pass concurrently with the
-  // non-LJ force work (Coulomb + bonds) in a single fused phase, leaving only
-  // the LJ fill+compute behind the serial prefix sum.  One barrier fewer per
-  // rebuild and the count pass's imbalance is padded with independent force
-  // work.  Bit-identical to the unoverlapped schedule: count tasks write no
-  // force buffers, and each accumulation slot still sees aux-then-LJ in the
-  // same serial-chain order.
-  bool overlap_rebuild = true;
-
   // First-touch NUMA placement (native backend only): before the first step,
   // re-home the hot per-atom arrays and each accumulation slot's private
   // force buffer by rewriting them from the worker that owns the
   // corresponding static chunk/slot.  Pure page movement — values are copied
   // bit-for-bit, so trajectories are unchanged.
   bool first_touch = false;
-
-  // Phase 5 sweeps only the (slot, block) pairs the force kernels actually
-  // scattered into instead of the full O(n_atoms x n_slots) matrix.
-  // Bit-identical to the dense sweep (untouched entries are exactly +0.0);
-  // off switch exists for the bench/sparse_reduce.cpp comparison.
-  bool sparse_reduction = true;
-
-  // Run the rebuild/housekeeping pipeline — cell binning, the CSR prefix
-  // sum, and the Morton sort — on the worker pool instead of serially on the
-  // master.  Every parallel path is bit/byte-identical to its serial
-  // reference by construction (deterministic counting sort, exact integer
-  // block scans, stable LSD radix), so this is purely a wall-clock switch;
-  // the off position exists for the serial-vs-parallel scaling ablation.
-  // The simulated backend mirrors the choice in the cost model: on, the
-  // rebuild is charged as parallel phases (kPhaseBin / kPhaseNbrPrefix /
-  // kPhaseMortonSort); off, as the paper's serial master-side lump.
-  bool parallel_rebuild = true;
 };
 
 // Phase identifiers used as event-log tags.
 enum PhaseId : int {
   kPhasePredictor = 1,
   kPhaseCheck = 2,
-  kPhaseNeighborCount = 3,  // CSR count pass (rebuild steps, overlap off)
-  kPhaseForces = 4,         // fused 3+4
+  // 3 is retired (the unoverlapped CSR count pass); artifacts key on the
+  // numbers, so the surviving tags keep theirs.
+  kPhaseForces = 4,      // fused 3+4
   kPhaseReduce = 5,
   kPhaseCorrector = 6,
-  kPhaseOverlap = 7,        // CSR count pass fused with non-LJ forces
-  kPhaseBin = 8,            // parallel cell binning (parallel_rebuild)
-  kPhaseNbrPrefix = 9,      // parallel CSR block scan (parallel_rebuild)
-  kPhaseMortonSort = 10,    // parallel Morton key build + radix sort
+  kPhaseOverlap = 7,     // CSR count pass fused with non-LJ forces
+  kPhaseBin = 8,         // chunked cell binning
+  kPhaseNbrPrefix = 9,   // chunked CSR block scan
+  kPhaseMortonSort = 10, // chunked Morton key build + radix sort
 };
 
 // The name table in cost_table.hpp is indexed by PhaseId; a new phase must
@@ -261,11 +232,11 @@ class Engine {
   };
 
   [[nodiscard]] std::vector<TaskDesc> atom_phase_tasks(Kind kind) const;
-  // The force phase is split in two so the overlapped rebuild schedule can
-  // run the aux kinds (Coulomb + bonds) alongside the neighbor count while
-  // only the LJ fill waits on the prefix sum.  forces_phase_tasks() is the
-  // concatenation aux-then-LJ — the canonical per-slot accumulation order
-  // every schedule reproduces.
+  // The force phase is split in two so a rebuild step can run the aux kinds
+  // (Coulomb + bonds) alongside the neighbor count while only the LJ fill
+  // waits on the prefix scan.  forces_phase_tasks() is the concatenation
+  // aux-then-LJ — the canonical per-slot accumulation order both step kinds
+  // reproduce.
   [[nodiscard]] std::vector<TaskDesc> forces_aux_tasks() const;
   [[nodiscard]] std::vector<TaskDesc> forces_lj_tasks() const;
   [[nodiscard]] std::vector<TaskDesc> forces_phase_tasks() const;
@@ -304,7 +275,7 @@ class Engine {
   NeighborList nlist_;
   LjTable lj_;
   ForceBuffers buffers_;
-  PackedCharges packed_charges_;  // charged-atom SoA for the tiled Coulomb path
+  PackedCharges packed_charges_;  // charged-atom SoA for the native Coulomb kernel
   perf::AllocationTracker tracker_;
   int temp_type_ = -1;
   sim::PhaseWork phase_work_;

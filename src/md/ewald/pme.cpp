@@ -275,66 +275,40 @@ void PmeSolver::reciprocal_space(std::span<const Vec3> pos, std::span<const doub
     f -= std::floor(f);
     return f * kk;
   };
-  if (!params_.vectorized) {
-    // Scalar reference: the recursive B-spline is re-evaluated at every
-    // stencil point — p + p^2 + p^3 recursive calls per atom.
-    for (int i = 0; i < n; ++i) {
-      const double ux = frac_coord(pos[static_cast<std::size_t>(i)].x, box_.x);
-      const double uy = frac_coord(pos[static_cast<std::size_t>(i)].y, box_.y);
-      const double uz = frac_coord(pos[static_cast<std::size_t>(i)].z, box_.z);
-      const int bx = static_cast<int>(std::floor(ux));
-      const int by = static_cast<int>(std::floor(uy));
-      const int bz = static_cast<int>(std::floor(uz));
-      for (int jz = 0; jz < p; ++jz) {
-        const double wz = bspline(p, uz - (bz - jz));
-        const int gz = ((bz - jz) % kk + kk) % kk;
-        for (int jy = 0; jy < p; ++jy) {
-          const double wyz = wz * bspline(p, uy - (by - jy));
-          const int gy = ((by - jy) % kk + kk) % kk;
-          for (int jx = 0; jx < p; ++jx) {
-            const double w = wyz * bspline(p, ux - (bx - jx));
-            const int gx = ((bx - jx) % kk + kk) % kk;
-            grid[(static_cast<std::size_t>(gz) * kk + gy) * kk + gx] +=
-                q[static_cast<std::size_t>(i)] * w;
-          }
-        }
-      }
+  // Each dimension's B-spline weights (and, for the forces, derivatives)
+  // and wrapped grid indices are evaluated once per atom into stack arrays
+  // — 3p recursive bspline() calls instead of p + p^2 + p^3 — and the p^3
+  // stencil is a branch-free loop over them.  The energy and force bits are
+  // pinned by the PmeVectorized tests.
+  constexpr int kMaxP = 6;  // ctor enforces spline_order <= 6
+  double wxs[kMaxP], wys[kMaxP], wzs[kMaxP];
+  double dxs[kMaxP], dys[kMaxP], dzs[kMaxP];
+  int gxs[kMaxP], gys[kMaxP], gzs[kMaxP];
+  for (int i = 0; i < n; ++i) {
+    const double ux = frac_coord(pos[static_cast<std::size_t>(i)].x, box_.x);
+    const double uy = frac_coord(pos[static_cast<std::size_t>(i)].y, box_.y);
+    const double uz = frac_coord(pos[static_cast<std::size_t>(i)].z, box_.z);
+    const int bx = static_cast<int>(std::floor(ux));
+    const int by = static_cast<int>(std::floor(uy));
+    const int bz = static_cast<int>(std::floor(uz));
+    for (int j = 0; j < p; ++j) {
+      wxs[j] = bspline(p, ux - (bx - j));
+      wys[j] = bspline(p, uy - (by - j));
+      wzs[j] = bspline(p, uz - (bz - j));
+      gxs[j] = ((bx - j) % kk + kk) % kk;
+      gys[j] = ((by - j) % kk + kk) % kk;
+      gzs[j] = ((bz - j) % kk + kk) % kk;
     }
-  } else {
-    // Lane-loop form: each dimension's weights and wrapped indices are
-    // evaluated once per atom into stack arrays (3p recursive calls instead
-    // of p + p^2 + p^3), and the stencil body is a branch-free loop over
-    // them.  Every product keeps the scalar form's operands, association
-    // and accumulation order, so the grid is bit-identical.
-    constexpr int kMaxP = 6;  // ctor enforces spline_order <= 6
-    double wxs[kMaxP], wys[kMaxP], wzs[kMaxP];
-    int gxs[kMaxP], gys[kMaxP], gzs[kMaxP];
-    for (int i = 0; i < n; ++i) {
-      const double ux = frac_coord(pos[static_cast<std::size_t>(i)].x, box_.x);
-      const double uy = frac_coord(pos[static_cast<std::size_t>(i)].y, box_.y);
-      const double uz = frac_coord(pos[static_cast<std::size_t>(i)].z, box_.z);
-      const int bx = static_cast<int>(std::floor(ux));
-      const int by = static_cast<int>(std::floor(uy));
-      const int bz = static_cast<int>(std::floor(uz));
-      for (int j = 0; j < p; ++j) {
-        wxs[j] = bspline(p, ux - (bx - j));
-        wys[j] = bspline(p, uy - (by - j));
-        wzs[j] = bspline(p, uz - (bz - j));
-        gxs[j] = ((bx - j) % kk + kk) % kk;
-        gys[j] = ((by - j) % kk + kk) % kk;
-        gzs[j] = ((bz - j) % kk + kk) % kk;
-      }
-      const double qi = q[static_cast<std::size_t>(i)];
-      for (int jz = 0; jz < p; ++jz) {
-        const double wz = wzs[jz];
-        const std::size_t rz = static_cast<std::size_t>(gzs[jz]) * kk;
-        for (int jy = 0; jy < p; ++jy) {
-          const double wyz = wz * wys[jy];
-          const std::size_t ryz = (rz + static_cast<std::size_t>(gys[jy])) * kk;
-          for (int jx = 0; jx < p; ++jx) {
-            const double w = wyz * wxs[jx];
-            grid[ryz + static_cast<std::size_t>(gxs[jx])] += qi * w;
-          }
+    const double qi = q[static_cast<std::size_t>(i)];
+    for (int jz = 0; jz < p; ++jz) {
+      const double wz = wzs[jz];
+      const std::size_t rz = static_cast<std::size_t>(gzs[jz]) * kk;
+      for (int jy = 0; jy < p; ++jy) {
+        const double wyz = wz * wys[jy];
+        const std::size_t ryz = (rz + static_cast<std::size_t>(gys[jy])) * kk;
+        for (int jx = 0; jx < p; ++jx) {
+          const double w = wyz * wxs[jx];
+          grid[ryz + static_cast<std::size_t>(gxs[jx])] += qi * w;
         }
       }
     }
@@ -353,94 +327,48 @@ void PmeSolver::reciprocal_space(std::span<const Vec3> pos, std::span<const doub
   const double nfac = static_cast<double>(grid_n);
 
   // --- Interpolate forces: F_i = -2 q_i sum_g phi(g) grad W_i(g).
-  if (!params_.vectorized) {
-    for (int i = 0; i < n; ++i) {
-      const double ux = frac_coord(pos[static_cast<std::size_t>(i)].x, box_.x);
-      const double uy = frac_coord(pos[static_cast<std::size_t>(i)].y, box_.y);
-      const double uz = frac_coord(pos[static_cast<std::size_t>(i)].z, box_.z);
-      const int bx = static_cast<int>(std::floor(ux));
-      const int by = static_cast<int>(std::floor(uy));
-      const int bz = static_cast<int>(std::floor(uz));
-      Vec3 f{};
-      for (int jz = 0; jz < p; ++jz) {
-        const double xz = uz - (bz - jz);
-        const double wz = bspline(p, xz);
-        const double dz = bspline_derivative(p, xz);
-        const int gz = ((bz - jz) % kk + kk) % kk;
-        for (int jy = 0; jy < p; ++jy) {
-          const double xy = uy - (by - jy);
-          const double wy = bspline(p, xy);
-          const double dy = bspline_derivative(p, xy);
-          const int gy = ((by - jy) % kk + kk) % kk;
-          for (int jx = 0; jx < p; ++jx) {
-            const double xx = ux - (bx - jx);
-            const double wx = bspline(p, xx);
-            const double dxv = bspline_derivative(p, xx);
-            const int gx = ((bx - jx) % kk + kk) % kk;
-            const double phi =
-                nfac * grid[(static_cast<std::size_t>(gz) * kk + gy) * kk + gx].real();
-            f.x += phi * dxv * wy * wz;
-            f.y += phi * wx * dy * wz;
-            f.z += phi * wx * wy * dz;
-          }
+  for (int i = 0; i < n; ++i) {
+    const double ux = frac_coord(pos[static_cast<std::size_t>(i)].x, box_.x);
+    const double uy = frac_coord(pos[static_cast<std::size_t>(i)].y, box_.y);
+    const double uz = frac_coord(pos[static_cast<std::size_t>(i)].z, box_.z);
+    const int bx = static_cast<int>(std::floor(ux));
+    const int by = static_cast<int>(std::floor(uy));
+    const int bz = static_cast<int>(std::floor(uz));
+    for (int j = 0; j < p; ++j) {
+      const double xx = ux - (bx - j);
+      const double xy = uy - (by - j);
+      const double xz = uz - (bz - j);
+      wxs[j] = bspline(p, xx);
+      dxs[j] = bspline_derivative(p, xx);
+      wys[j] = bspline(p, xy);
+      dys[j] = bspline_derivative(p, xy);
+      wzs[j] = bspline(p, xz);
+      dzs[j] = bspline_derivative(p, xz);
+      gxs[j] = ((bx - j) % kk + kk) % kk;
+      gys[j] = ((by - j) % kk + kk) % kk;
+      gzs[j] = ((bz - j) % kk + kk) % kk;
+    }
+    Vec3 f{};
+    for (int jz = 0; jz < p; ++jz) {
+      const double wz = wzs[jz];
+      const double dz = dzs[jz];
+      const std::size_t rz = static_cast<std::size_t>(gzs[jz]) * kk;
+      for (int jy = 0; jy < p; ++jy) {
+        const double wy = wys[jy];
+        const double dy = dys[jy];
+        const std::size_t ryz = (rz + static_cast<std::size_t>(gys[jy])) * kk;
+        for (int jx = 0; jx < p; ++jx) {
+          const double phi =
+              nfac * grid[ryz + static_cast<std::size_t>(gxs[jx])].real();
+          f.x += phi * dxs[jx] * wy * wz;
+          f.y += phi * wxs[jx] * dy * wz;
+          f.z += phi * wxs[jx] * wy * dz;
         }
       }
-      const double qi = q[static_cast<std::size_t>(i)];
-      out.forces[static_cast<std::size_t>(i)] -=
-          Vec3{f.x * kk / box_.x, f.y * kk / box_.y, f.z * kk / box_.z} * (2.0 * qi);
     }
-  } else {
-    // Lane-loop form: per-dimension weight + derivative arrays evaluated
-    // once (6p recursive calls instead of 2(p + p^2 + p^3)); the stencil
-    // accumulates the same left-associated products in the same order as
-    // the scalar loop, so forces are bit-identical.
-    constexpr int kMaxP = 6;
-    double wxs[kMaxP], wys[kMaxP], wzs[kMaxP];
-    double dxs[kMaxP], dys[kMaxP], dzs[kMaxP];
-    int gxs[kMaxP], gys[kMaxP], gzs[kMaxP];
-    for (int i = 0; i < n; ++i) {
-      const double ux = frac_coord(pos[static_cast<std::size_t>(i)].x, box_.x);
-      const double uy = frac_coord(pos[static_cast<std::size_t>(i)].y, box_.y);
-      const double uz = frac_coord(pos[static_cast<std::size_t>(i)].z, box_.z);
-      const int bx = static_cast<int>(std::floor(ux));
-      const int by = static_cast<int>(std::floor(uy));
-      const int bz = static_cast<int>(std::floor(uz));
-      for (int j = 0; j < p; ++j) {
-        const double xx = ux - (bx - j);
-        const double xy = uy - (by - j);
-        const double xz = uz - (bz - j);
-        wxs[j] = bspline(p, xx);
-        dxs[j] = bspline_derivative(p, xx);
-        wys[j] = bspline(p, xy);
-        dys[j] = bspline_derivative(p, xy);
-        wzs[j] = bspline(p, xz);
-        dzs[j] = bspline_derivative(p, xz);
-        gxs[j] = ((bx - j) % kk + kk) % kk;
-        gys[j] = ((by - j) % kk + kk) % kk;
-        gzs[j] = ((bz - j) % kk + kk) % kk;
-      }
-      Vec3 f{};
-      for (int jz = 0; jz < p; ++jz) {
-        const double wz = wzs[jz];
-        const double dz = dzs[jz];
-        const std::size_t rz = static_cast<std::size_t>(gzs[jz]) * kk;
-        for (int jy = 0; jy < p; ++jy) {
-          const double wy = wys[jy];
-          const double dy = dys[jy];
-          const std::size_t ryz = (rz + static_cast<std::size_t>(gys[jy])) * kk;
-          for (int jx = 0; jx < p; ++jx) {
-            const double phi =
-                nfac * grid[ryz + static_cast<std::size_t>(gxs[jx])].real();
-            f.x += phi * dxs[jx] * wy * wz;
-            f.y += phi * wxs[jx] * dy * wz;
-            f.z += phi * wxs[jx] * wy * dz;
-          }
-        }
-      }
-      const double qi = q[static_cast<std::size_t>(i)];
-      out.forces[static_cast<std::size_t>(i)] -=
-          Vec3{f.x * kk / box_.x, f.y * kk / box_.y, f.z * kk / box_.z} * (2.0 * qi);
-    }
+    const double qi = q[static_cast<std::size_t>(i)];
+    out.forces[static_cast<std::size_t>(i)] -=
+        Vec3{f.x * kk / box_.x, f.y * kk / box_.y, f.z * kk / box_.z} * (2.0 * qi);
   }
 }
 

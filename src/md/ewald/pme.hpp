@@ -37,13 +37,6 @@ struct EwaldParams {
   int kmax = 8;            // DirectEwald: max |m| per dimension
   int grid = 32;           // PME: grid points per dimension (power of two)
   int spline_order = 4;    // PME: cardinal B-spline order (4 = cubic)
-  // PME spread/interpolate evaluate each dimension's B-spline weights once
-  // into stack arrays and run the p^3 stencil as branch-free lane loops over
-  // them, instead of re-entering the recursive bspline() inside the triple
-  // loop.  Same expressions, same association, same order — bit-identical to
-  // the scalar path (enforced by tests); off switch exists for the
-  // bench/raw_speed ablation.
-  bool vectorized = true;
 };
 
 // Chooses reasonable parameters for a given box and accuracy-ish target.

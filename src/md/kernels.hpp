@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -361,20 +362,11 @@ void fused_neighbors_lj_chunk(const MolecularSystem& sys, const CellGrid& grid,
 // charged-atom index list; the triangular inner loop gives lower-ranked
 // chunks more work — the deliberate index-correlated imbalance.
 //
-// This kernel has a scalar and a tiled form.  The all-pairs loop rejects
-// (almost) nothing, so a tile that merely regroups the sqrt/divide chain
-// cannot amortize its gather cost against skipped pairs.  The tiled form
-// therefore reads from a PackedCharges snapshot — the charged atoms'
-// positions and charges copied bit-for-bit into four contiguous arrays
-// once per step — which turns the inner loop's three
-// gathered position loads plus one gathered charge load into streaming
-// loads, and buffers dr in the tile so nothing is fetched twice.  The lane
-// loop runs sqrt/divide/multiply across the tile branch-free — it
-// vectorizes to vsqrtpd/vdivpd, both IEEE-correctly-rounded, so each lane
-// computes the scalar form's exact bits — then forces and pe accumulate in
-// the original pair order.  kCoulomb * qi is hoisted as
-// (kCoulomb * qi) * qj / r, which is precisely the association the scalar
-// expression already has.
+// Like the LJ pass, a row has two implementations with identical bits.
+// coulomb_row_scalar is the paper's per-pair loop: the traced backend runs it
+// (its per-pair event order is the address stream the simulator replays),
+// and so does every native build without AVX2.  coulomb_row_avx2 is the
+// native kernel.
 // ---------------------------------------------------------------------------
 inline constexpr int kCoulombTile = 8;
 
@@ -404,248 +396,170 @@ struct PackedCharges {
   }
 };
 
+// The pairs of the charge (xi, qi) with charged[cj], charged[cj + 1], ... to
+// the end of the list, accumulated into fi and pe in pair order.
 template <typename Mem>
-void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs, ForceBuffers& buf,
-                   int worker, int cbegin, int cend, int stride, Mem& mem,
-                   bool tiled = false, const PackedCharges* packed = nullptr) {
+void coulomb_pairs_scalar(const MolecularSystem& sys, const CostTable& costs, ForceBuffers& buf,
+                          int worker, const Vec3& xi, double qi, int cj, Vec3& fi, double& pe,
+                          Mem& mem) {
   const auto& pos = sys.positions();
   const auto& charged = sys.charged_indices();
   const int n_charged = static_cast<int>(charged.size());
-  for (int ci = cbegin; ci < cend; ci += stride) {
-    const int i = charged[static_cast<std::size_t>(ci)];
-    mem.read_pos(i);
-    mem.read_meta(i);
-    mem.temps(costs.temps_coulomb_outer);
-    const Vec3 xi = pos[static_cast<std::size_t>(i)];
-    const double qi = sys.charge(i);
-    Vec3 fi{};
-    double pe = 0.0;
+  for (; cj < n_charged; ++cj) {
+    const int j = charged[static_cast<std::size_t>(cj)];
+    mem.read_pos(j);
+    mem.read_meta(j);
+    const Vec3 dr = xi - pos[static_cast<std::size_t>(j)];
+    const double r2 = dr.norm2();
+    // Coincident charges have no defined pair direction; dividing through
+    // r = 0 would seed inf/NaN forces that corrupt every later step (the
+    // LJ kernel already skips this case).
+    if (r2 <= 0.0) continue;
+    const double r = std::sqrt(r2);
+    const double e = units::kCoulomb * qi * sys.charge(j) / r;
+    const Vec3 f = dr * (e / r2);
+    fi += f;
+    buf.force(worker, j) -= f;
+    mem.write_private_force(worker, j);
+    pe += e;
+    mem.temps(costs.temps_coulomb_pair);
+    mem.compute(costs.coulomb_pair);
+  }
+}
 
-    if (!tiled) {
-      for (int cj = ci + 1; cj < n_charged; ++cj) {
-        const int j = charged[static_cast<std::size_t>(cj)];
-        mem.read_pos(j);
-        mem.read_meta(j);
-        const Vec3 dr = xi - pos[static_cast<std::size_t>(j)];
-        const double r2 = dr.norm2();
-        // Coincident charges have no defined pair direction; dividing through
-        // r = 0 would seed inf/NaN forces that corrupt every later step (the
-        // LJ kernel already skips this case).
-        if (r2 <= 0.0) continue;
-        const double r = std::sqrt(r2);
-        const double e = units::kCoulomb * qi * sys.charge(j) / r;
-        const Vec3 f = dr * (e / r2);
-        fi += f;
-        buf.force(worker, j) -= f;
-        mem.write_private_force(worker, j);
-        pe += e;
-        mem.temps(costs.temps_coulomb_pair);
-        mem.compute(costs.coulomb_pair);
-      }
-    } else {
-      MWX_ASSERT(packed != nullptr);
-      const double kqi = units::kCoulomb * qi;
-      const double* __restrict px = packed->x.data();
-      const double* __restrict py = packed->y.data();
-      const double* __restrict pz = packed->z.data();
-      const double* __restrict pq = packed->q.data();
-      // Full blocks of kCoulombTile consecutive cj.  The all-pairs loop accepts
-      // every pair except exact coincidence (r2 == 0), so unlike LJ there is
-      // nothing to compact: pass 1 computes dr and r2 for the whole block
-      // branch-free from the packed arrays (contiguous vector loads), the
-      // lane loop runs the sqrt/divide chain, and the ordered scatter
-      // accumulates in pair order.  A block containing a coincident pair
-      // (vanishingly rare) falls back to the scalar body, preserving the
-      // skip semantics bit for bit.
-      //
-      // The hot block uses AVX2 intrinsics where available: GCC's
-      // autovectorizer fully unrolls these fixed-trip loops and then
-      // declines to SLP-vectorize the result, so spelling out the ymm ops
-      // is what actually lights up the vector units.  vsubpd/vmulpd/vaddpd/
-      // vsqrtpd/vdivpd are all IEEE correctly-rounded, and the expressions
-      // keep the scalar association — (kqi * qj) / r, e / r2, dr * fs — so
-      // each lane computes the scalar form's exact bits.
-      int cj = ci + 1;
+template <typename Mem>
+void coulomb_row_scalar(const MolecularSystem& sys, const CostTable& costs, ForceBuffers& buf,
+                        int worker, int ci, Mem& mem) {
+  const int i = sys.charged_indices()[static_cast<std::size_t>(ci)];
+  mem.read_pos(i);
+  mem.read_meta(i);
+  mem.temps(costs.temps_coulomb_outer);
+  Vec3 fi{};
+  double pe = 0.0;
+  coulomb_pairs_scalar(sys, costs, buf, worker, sys.positions()[static_cast<std::size_t>(i)],
+                       sys.charge(i), ci + 1, fi, pe, mem);
+  buf.force(worker, i) += fi;
+  buf.add_pe(worker, pe);
+  mem.write_private_force(worker, i);
+}
+
 #if defined(__AVX2__)
-      static_assert(kCoulombTile == 8, "AVX2 Coulomb block assumes two 4-lane halves");
-      const __m256d vxix = _mm256_set1_pd(xi.x);
-      const __m256d vxiy = _mm256_set1_pd(xi.y);
-      const __m256d vxiz = _mm256_set1_pd(xi.z);
-      const __m256d vkqi = _mm256_set1_pd(kqi);
-      const __m256d vzero = _mm256_setzero_pd();
-      // [fi.x, fi.y] accumulator: one addpd per pair runs both serial
-      // chains, and each lane folds in exactly the scalar order.  fi.x/fi.y
-      // stay zero until the chain is folded out below, so the lanes ARE the
-      // scalar chains, not partial sums glued on.  fi.z and pe accumulate
-      // as plain scalars — four independent 4-cycle chains either way.
-      __m128d fixy = _mm_setzero_pd();
-      for (; cj + kCoulombTile <= n_charged; cj += kCoulombTile) {
-        for (int t = 0; t < kCoulombTile; ++t) {
-          mem.read_pos(charged[static_cast<std::size_t>(cj + t)]);
-          mem.read_meta(charged[static_cast<std::size_t>(cj + t)]);
-        }
-        // a_xy holds per-pair [fx, fy] interleaved so the scatter can load,
-        // subtract and store fj.x/fj.y with single 128-bit ops — the store
-        // port is this loop's tightest resource.
-        double a_xy[2 * kCoulombTile], a_fz[kCoulombTile], a_e[kCoulombTile];
-        bool ok = true;
-        for (int h = 0; h < 2; ++h) {
-          const int o = cj + 4 * h;
-          const __m256d dx = _mm256_sub_pd(vxix, _mm256_loadu_pd(px + o));
-          const __m256d dy = _mm256_sub_pd(vxiy, _mm256_loadu_pd(py + o));
-          const __m256d dz = _mm256_sub_pd(vxiz, _mm256_loadu_pd(pz + o));
-          const __m256d r2 = _mm256_add_pd(
-              _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-              _mm256_mul_pd(dz, dz));
-          ok &= _mm256_movemask_pd(_mm256_cmp_pd(r2, vzero, _CMP_GT_OQ)) == 0xF;
-          const __m256d r = _mm256_sqrt_pd(r2);
-          const __m256d e =
-              _mm256_div_pd(_mm256_mul_pd(vkqi, _mm256_loadu_pd(pq + o)), r);
-          const __m256d fs = _mm256_div_pd(e, r2);
-          const __m256d fx = _mm256_mul_pd(dx, fs);
-          const __m256d fy = _mm256_mul_pd(dy, fs);
-          // Interleave to [fx0,fy0,fx1,fy1 | fx2,fy2,fx3,fy3].
-          const __m256d u0 = _mm256_unpacklo_pd(fx, fy);
-          const __m256d u1 = _mm256_unpackhi_pd(fx, fy);
-          _mm256_storeu_pd(a_xy + 8 * h, _mm256_permute2f128_pd(u0, u1, 0x20));
-          _mm256_storeu_pd(a_xy + 8 * h + 4, _mm256_permute2f128_pd(u0, u1, 0x31));
-          _mm256_storeu_pd(a_fz + 4 * h, _mm256_mul_pd(dz, fs));
-          _mm256_storeu_pd(a_e + 4 * h, e);
-        }
-        // A lane hit r2 == 0 (exact coincidence): stop the vector pipeline
-        // here — nothing from this block is committed yet — and let the
-        // scalar remainder below redo it with the scalar path's exact skip
-        // semantics.  Resuming vector accumulation after a scalar stretch
-        // would reassociate the fi/pe chains, so the rest of the row stays
-        // scalar; coincident pairs never occur in practice.
-        if (!ok) break;
-        for (int t = 0; t < kCoulombTile; ++t) {
-          const __m128d f2 = _mm_loadu_pd(a_xy + 2 * t);
-          fixy = _mm_add_pd(fixy, f2);
-          fi.z += a_fz[t];
-          const int j = charged[static_cast<std::size_t>(cj + t)];
-          Vec3& fj = buf.force(worker, j);
-          _mm_storeu_pd(&fj.x, _mm_sub_pd(_mm_loadu_pd(&fj.x), f2));
-          fj.z -= a_fz[t];
-          mem.write_private_force(worker, j);
-          pe += a_e[t];
-          mem.temps(costs.temps_coulomb_pair);
-          mem.compute(costs.coulomb_pair);
-        }
-      }
-      // Fold the vector chain out.  fi.x/fi.y are untouched zeros up to
-      // here, so lane assignment (not addition) reproduces the scalar
-      // accumulation exactly; the scalar remainder continues the fold for
-      // the row tail and any coincident block.
-      {
-        alignas(16) double lanes[2];
-        _mm_store_pd(lanes, fixy);
-        fi.x = lanes[0];
-        fi.y = lanes[1];
-      }
-#else
-      // Guarded scalar fallback: the same block structure in plain C++.
-      // Bit-identical to the AVX2 path (and to the scalar kernel) because
-      // every expression keeps the same association.
-      double bdx[kCoulombTile], bdy[kCoulombTile], bdz[kCoulombTile], br2[kCoulombTile];
-      double bfs[kCoulombTile], be[kCoulombTile];
-      for (; cj + kCoulombTile <= n_charged; cj += kCoulombTile) {
-        for (int t = 0; t < kCoulombTile; ++t) {
-          mem.read_pos(charged[static_cast<std::size_t>(cj + t)]);
-          mem.read_meta(charged[static_cast<std::size_t>(cj + t)]);
-          const double dx = xi.x - px[cj + t];
-          const double dy = xi.y - py[cj + t];
-          const double dz = xi.z - pz[cj + t];
-          bdx[t] = dx;
-          bdy[t] = dy;
-          bdz[t] = dz;
-          br2[t] = dx * dx + dy * dy + dz * dz;
-        }
-        double min_r2 = br2[0];
-        for (int t = 1; t < kCoulombTile; ++t) min_r2 = std::min(min_r2, br2[t]);
-        if (min_r2 > 0.0) {
-          for (int t = 0; t < kCoulombTile; ++t) {
-            const double r = std::sqrt(br2[t]);
-            const double e = kqi * pq[cj + t] / r;
-            be[t] = e;
-            bfs[t] = e / br2[t];
-          }
-          for (int t = 0; t < kCoulombTile; ++t) {
-            const double fx = bdx[t] * bfs[t];
-            const double fy = bdy[t] * bfs[t];
-            const double fz = bdz[t] * bfs[t];
-            fi.x += fx;
-            fi.y += fy;
-            fi.z += fz;
-            const int j = charged[static_cast<std::size_t>(cj + t)];
-            Vec3& fj = buf.force(worker, j);
-            fj.x -= fx;
-            fj.y -= fy;
-            fj.z -= fz;
-            mem.write_private_force(worker, j);
-            pe += be[t];
-            mem.temps(costs.temps_coulomb_pair);
-            mem.compute(costs.coulomb_pair);
-          }
-        } else {
-          for (int t = 0; t < kCoulombTile; ++t) {
-            if (br2[t] <= 0.0) continue;
-            const double r = std::sqrt(br2[t]);
-            const double e = kqi * pq[cj + t] / r;
-            const double fs = e / br2[t];
-            const double fx = bdx[t] * fs;
-            const double fy = bdy[t] * fs;
-            const double fz = bdz[t] * fs;
-            fi.x += fx;
-            fi.y += fy;
-            fi.z += fz;
-            const int j = charged[static_cast<std::size_t>(cj + t)];
-            Vec3& fj = buf.force(worker, j);
-            fj.x -= fx;
-            fj.y -= fy;
-            fj.z -= fz;
-            mem.write_private_force(worker, j);
-            pe += e;
-            mem.temps(costs.temps_coulomb_pair);
-            mem.compute(costs.coulomb_pair);
-          }
-        }
-      }
-#endif
-      // Row tail (< kCoulombTile pairs): the scalar body against the packed
-      // arrays.
-      for (; cj < n_charged; ++cj) {
-        const int j = charged[static_cast<std::size_t>(cj)];
-        mem.read_pos(j);
-        mem.read_meta(j);
-        const double dx = xi.x - px[cj];
-        const double dy = xi.y - py[cj];
-        const double dz = xi.z - pz[cj];
-        const double r2 = dx * dx + dy * dy + dz * dz;
-        if (r2 <= 0.0) continue;
-        const double r = std::sqrt(r2);
-        const double e = kqi * pq[cj] / r;
-        const double fs = e / r2;
-        const double fx = dx * fs;
-        const double fy = dy * fs;
-        const double fz = dz * fs;
-        fi.x += fx;
-        fi.y += fy;
-        fi.z += fz;
-        Vec3& fj = buf.force(worker, j);
-        fj.x -= fx;
-        fj.y -= fy;
-        fj.z -= fz;
-        mem.write_private_force(worker, j);
-        pe += e;
-        mem.temps(costs.temps_coulomb_pair);
-        mem.compute(costs.coulomb_pair);
-      }
+// The native Coulomb kernel.  The all-pairs loop rejects (almost) nothing,
+// so a tile that merely regroups the sqrt/divide chain cannot amortize its
+// gather cost against skipped pairs.  The kernel therefore reads from the
+// PackedCharges snapshot, which turns the inner loop's three gathered
+// position loads plus one gathered charge load into streaming loads.  Each
+// block of kCoulombTile consecutive cj computes dr and r2 branch-free,
+// runs the sqrt/divide chain, then scatters and accumulates in pair order.
+//
+// GCC's autovectorizer fully unrolls these fixed-trip loops and then
+// declines to SLP-vectorize the result, so the ymm ops are spelled out.
+// vsubpd/vmulpd/vaddpd/vsqrtpd/vdivpd are all IEEE correctly-rounded, and
+// the expressions keep the scalar association — (kqi * qj) / r, e / r2,
+// dr * fs, with kCoulomb * qi hoisted as the scalar expression already
+// associates it — so each lane computes the scalar loop's exact bits.  The
+// row tail (fewer than kCoulombTile pairs) and a block holding a coincident
+// pair (r2 == 0, vanishingly rare) go to the scalar loop.
+inline void coulomb_row_avx2(const MolecularSystem& sys, const PackedCharges& packed,
+                             const CostTable& costs, ForceBuffers& buf, int worker, int ci) {
+  static_assert(kCoulombTile == 8, "AVX2 Coulomb block assumes two 4-lane halves");
+  const auto& charged = sys.charged_indices();
+  const int n_charged = static_cast<int>(charged.size());
+  const int i = charged[static_cast<std::size_t>(ci)];
+  const Vec3 xi = sys.positions()[static_cast<std::size_t>(i)];
+  const double qi = sys.charge(i);
+  Vec3 fi{};
+  double pe = 0.0;
+  const double kqi = units::kCoulomb * qi;
+  const double* __restrict px = packed.x.data();
+  const double* __restrict py = packed.y.data();
+  const double* __restrict pz = packed.z.data();
+  const double* __restrict pq = packed.q.data();
+  int cj = ci + 1;
+  const __m256d vxix = _mm256_set1_pd(xi.x);
+  const __m256d vxiy = _mm256_set1_pd(xi.y);
+  const __m256d vxiz = _mm256_set1_pd(xi.z);
+  const __m256d vkqi = _mm256_set1_pd(kqi);
+  const __m256d vzero = _mm256_setzero_pd();
+  // [fi.x, fi.y] accumulator: one addpd per pair runs both serial
+  // chains, and each lane folds in exactly the scalar order.  fi.x/fi.y
+  // stay zero until the chain is folded out below, so the lanes ARE the
+  // scalar chains, not partial sums glued on.  fi.z and pe accumulate
+  // as plain scalars — four independent 4-cycle chains either way.
+  __m128d fixy = _mm_setzero_pd();
+  for (; cj + kCoulombTile <= n_charged; cj += kCoulombTile) {
+    // a_xy holds per-pair [fx, fy] interleaved so the scatter can load,
+    // subtract and store fj.x/fj.y with single 128-bit ops — the store
+    // port is this loop's tightest resource.
+    double a_xy[2 * kCoulombTile], a_fz[kCoulombTile], a_e[kCoulombTile];
+    bool ok = true;
+    for (int h = 0; h < 2; ++h) {
+      const int o = cj + 4 * h;
+      const __m256d dx = _mm256_sub_pd(vxix, _mm256_loadu_pd(px + o));
+      const __m256d dy = _mm256_sub_pd(vxiy, _mm256_loadu_pd(py + o));
+      const __m256d dz = _mm256_sub_pd(vxiz, _mm256_loadu_pd(pz + o));
+      const __m256d r2 = _mm256_add_pd(
+          _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+          _mm256_mul_pd(dz, dz));
+      ok &= _mm256_movemask_pd(_mm256_cmp_pd(r2, vzero, _CMP_GT_OQ)) == 0xF;
+      const __m256d r = _mm256_sqrt_pd(r2);
+      const __m256d e =
+          _mm256_div_pd(_mm256_mul_pd(vkqi, _mm256_loadu_pd(pq + o)), r);
+      const __m256d fs = _mm256_div_pd(e, r2);
+      const __m256d fx = _mm256_mul_pd(dx, fs);
+      const __m256d fy = _mm256_mul_pd(dy, fs);
+      // Interleave to [fx0,fy0,fx1,fy1 | fx2,fy2,fx3,fy3].
+      const __m256d u0 = _mm256_unpacklo_pd(fx, fy);
+      const __m256d u1 = _mm256_unpackhi_pd(fx, fy);
+      _mm256_storeu_pd(a_xy + 8 * h, _mm256_permute2f128_pd(u0, u1, 0x20));
+      _mm256_storeu_pd(a_xy + 8 * h + 4, _mm256_permute2f128_pd(u0, u1, 0x31));
+      _mm256_storeu_pd(a_fz + 4 * h, _mm256_mul_pd(dz, fs));
+      _mm256_storeu_pd(a_e + 4 * h, e);
     }
+    // A lane hit r2 == 0 (exact coincidence): stop the vector pipeline
+    // here — nothing from this block is committed yet — and let the
+    // scalar loop below redo it with its exact skip semantics.  Resuming
+    // vector accumulation after a scalar stretch would reassociate the
+    // fi/pe chains, so the rest of the row stays scalar.
+    if (!ok) break;
+    for (int t = 0; t < kCoulombTile; ++t) {
+      const __m128d f2 = _mm_loadu_pd(a_xy + 2 * t);
+      fixy = _mm_add_pd(fixy, f2);
+      fi.z += a_fz[t];
+      Vec3& fj = buf.force(worker, charged[static_cast<std::size_t>(cj + t)]);
+      _mm_storeu_pd(&fj.x, _mm_sub_pd(_mm_loadu_pd(&fj.x), f2));
+      fj.z -= a_fz[t];
+      pe += a_e[t];
+    }
+  }
+  // Fold the vector chain out.  fi.x/fi.y are untouched zeros up to
+  // here, so lane assignment (not addition) reproduces the scalar
+  // accumulation exactly; the scalar loop continues the fold.
+  alignas(16) double lanes[2];
+  _mm_store_pd(lanes, fixy);
+  fi.x = lanes[0];
+  fi.y = lanes[1];
+  NullMem mem;
+  coulomb_pairs_scalar(sys, costs, buf, worker, xi, qi, cj, fi, pe, mem);
+  buf.force(worker, i) += fi;
+  buf.add_pe(worker, pe);
+}
+#endif
 
-    buf.force(worker, i) += fi;
-    buf.add_pe(worker, pe);
-    mem.write_private_force(worker, i);
+// `packed` must hold the current positions (PackedCharges::pack); only the
+// native AVX2 kernel reads it.
+template <typename Mem>
+void coulomb_chunk(const MolecularSystem& sys, const CostTable& costs,
+                   [[maybe_unused]] const PackedCharges& packed, ForceBuffers& buf, int worker,
+                   int cbegin, int cend, int stride, Mem& mem) {
+  for (int ci = cbegin; ci < cend; ci += stride) {
+#if defined(__AVX2__)
+    if constexpr (!Mem::tracing) {
+      coulomb_row_avx2(sys, packed, costs, buf, worker, ci);
+      continue;
+    }
+#endif
+    coulomb_row_scalar(sys, costs, buf, worker, ci, mem);
   }
 }
 
@@ -774,58 +688,34 @@ void torsion_bond_chunk(const MolecularSystem& sys, const CostTable& costs, Forc
 // becomes the new acceleration (and each private copy is zeroed for the next
 // step).
 //
-// The dense variant is the paper's O(n_atoms x n_slots) sweep.  The sparse
-// variant consults the per-slot touched-block marks and sums only slots that
+// The paper's reduction sweeps the full O(n_atoms x n_slots) matrix.  This
+// one consults the per-slot touched-block marks and sums only slots that
 // actually scattered into the block containing atom i: a skipped entry is
 // exactly +0.0 (never written since the last reduction), and x + (+0.0) is a
-// bitwise no-op for every value the accumulator can hold here, so both
-// variants produce bit-identical accelerations.
+// bitwise no-op for every value the accumulator can hold here (it starts at
+// +0.0 and a round-to-nearest sum is -0.0 only when both addends are), so
+// the accelerations carry the dense sweep's bits.
 // ---------------------------------------------------------------------------
-template <typename Mem>
-void reduce_chunk_dense(MolecularSystem& sys, const CostTable& costs, ForceBuffers& buf,
-                        int begin, int end, Mem& mem) {
-  auto& acc = sys.accelerations();
-  const int workers = buf.n_workers();
-  for (int i = begin; i < end; ++i) {
-    Vec3 total{};
-    for (int w = 0; w < workers; ++w) {
-      mem.read_private_force(w, i);
-      total += buf.force_raw(w, i);
-      buf.force_raw(w, i) = Vec3{};
-      mem.write_private_force(w, i);
-    }
-    acc[static_cast<std::size_t>(i)] = total * sys.inv_mass(i);
-    mem.write_acc(i);
-    mem.compute(costs.reduce_atom_per_worker * workers);
-  }
-}
-
 template <typename Mem>
 void reduce_chunk_sparse(MolecularSystem& sys, const CostTable& costs, ForceBuffers& buf,
                          int begin, int end, Mem& mem) {
   auto& acc = sys.accelerations();
   const int workers = buf.n_workers();
   // Touched-slot lists are per block, not per atom: one bitmap scan covers
-  // kBlockAtoms atoms.  Slot counts beyond the list capacity fall back to
-  // the dense sweep (the engine never exceeds it; direct kernel users might).
-  constexpr int kMaxSlots = 256;
-  if (workers > kMaxSlots) {
-    reduce_chunk_dense(sys, costs, buf, begin, end, mem);
-    return;
-  }
-  int touched[kMaxSlots];
+  // kBlockAtoms atoms.
+  std::vector<int> touched(static_cast<std::size_t>(workers));
   int i = begin;
   while (i < end) {
     const int block = i >> ForceBuffers::kBlockShift;
     const int block_end = std::min(end, (block + 1) << ForceBuffers::kBlockShift);
     int n_touched = 0;
     for (int w = 0; w < workers; ++w) {
-      if (buf.block_touched(w, block)) touched[n_touched++] = w;
+      if (buf.block_touched(w, block)) touched[static_cast<std::size_t>(n_touched++)] = w;
     }
     for (; i < block_end; ++i) {
       Vec3 total{};
       for (int k = 0; k < n_touched; ++k) {
-        const int w = touched[k];
+        const int w = touched[static_cast<std::size_t>(k)];
         mem.read_private_force(w, i);
         total += buf.force_raw(w, i);
         buf.force_raw(w, i) = Vec3{};
@@ -835,16 +725,6 @@ void reduce_chunk_sparse(MolecularSystem& sys, const CostTable& costs, ForceBuff
       mem.write_acc(i);
       mem.compute(costs.reduce_atom_per_worker * n_touched);
     }
-  }
-}
-
-template <typename Mem>
-void reduce_chunk(MolecularSystem& sys, const CostTable& costs, ForceBuffers& buf, int begin,
-                  int end, Mem& mem, bool sparse = false) {
-  if (sparse) {
-    reduce_chunk_sparse(sys, costs, buf, begin, end, mem);
-  } else {
-    reduce_chunk_dense(sys, costs, buf, begin, end, mem);
   }
 }
 

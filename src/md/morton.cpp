@@ -41,11 +41,6 @@ std::uint64_t morton3(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
 }
 
 std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3& lo,
-                              const Vec3& hi, double cell_width) {
-  return morton_order(positions, lo, hi, cell_width, nullptr, 1);
-}
-
-std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3& lo,
                               const Vec3& hi, double cell_width,
                               parallel::FixedThreadPool* pool, int n_chunks) {
   require(cell_width > 0.0, "cell width must be positive");
@@ -58,11 +53,10 @@ std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3& lo,
   const double inv_wz = static_cast<double>(nz) / ext.z;
 
   const int n = static_cast<int>(positions.size());
-  const bool serial = pool == nullptr || n_chunks <= 1 || n < 2;
-  const int chunks = serial ? 1 : std::min(n_chunks, n);
+  const int chunks = pool == nullptr ? 1 : std::clamp(n_chunks, 1, std::max(1, n));
 
   std::vector<std::uint64_t> key(static_cast<std::size_t>(n));
-  parallel::for_chunks(serial ? nullptr : pool, chunks, n,
+  parallel::for_chunks(pool, chunks, n,
                        [&](int, long long b, long long e) {
     for (long long i = b; i < e; ++i) {
       const Vec3& p = positions[static_cast<std::size_t>(i)];
@@ -75,23 +69,14 @@ std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3& lo,
 
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
-  if (serial) {
-    // Stable: equal keys (same cell) keep their current relative order, so
-    // the pass is idempotent on an already-ordered system and fully
-    // deterministic.  This is the reference the radix path must reproduce.
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return key[static_cast<std::size_t>(a)] < key[static_cast<std::size_t>(b)];
-    });
-    return order;
-  }
 
   // Stable LSD radix over 8-bit digits.  Each pass is a stable partition by
   // one digit (per-chunk histograms; digit-major chunk-minor exclusive scan;
   // per-chunk in-order scatter), so after the last pass the permutation is
-  // THE stable sort by key — there is only one — and equals the serial
-  // std::stable_sort bit for bit, independent of the chunk count.  The pass
-  // count comes from the largest representable key for this cell geometry
-  // (not from the data), keeping it deterministic and data-independent.
+  // THE stable sort by key — there is only one — independent of the chunk
+  // count.  Stability also makes the pass idempotent on an already-ordered
+  // system.  The pass count comes from the largest representable key for
+  // this cell geometry (not from the data), keeping it data-independent.
   const std::uint64_t max_key =
       morton3(static_cast<std::uint32_t>(nx - 1), static_cast<std::uint32_t>(ny - 1),
               static_cast<std::uint32_t>(nz - 1));

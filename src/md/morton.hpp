@@ -30,23 +30,19 @@ namespace mwx::md {
 // quantized to a cell of width >= cell_width per axis (the same floor-based
 // cell count CellGrid uses, so "same Morton cell" implies "same grid cell"),
 // keyed by morton3 of its cell coordinate, and stably sorted.  Returns
-// new_order with new_order[k] = old index of the atom placed k-th.  The sort
-// is stable, so atoms sharing a cell keep their relative order and the result
-// is deterministic for a given input regardless of worker count.
-[[nodiscard]] std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3& lo,
-                                            const Vec3& hi, double cell_width);
-
-// Parallel variant: the key build fans out over index-contiguous chunks
-// (identical expressions — identical key bits) and std::stable_sort is
-// replaced by a stable LSD radix sort on the packed 64-bit keys: per-chunk
-// digit histograms, one digit-major/chunk-minor exclusive scan, and a stable
+// new_order with new_order[k] = old index of the atom placed k-th.
+//
+// The key build fans out over index-contiguous chunks and the sort is a
+// stable LSD radix sort on the packed 64-bit keys: per-chunk digit
+// histograms, one digit-major/chunk-minor exclusive scan, and a stable
 // per-chunk scatter per 8-bit pass.  A stable sort's permutation is unique,
-// so the result equals the serial overload's std::stable_sort output exactly,
-// for any pool width or chunk count.  Null pool falls back to the serial
-// reference.
+// so atoms sharing a cell keep their relative order and the result does not
+// depend on the pool width or chunk count.  A null pool runs every pass
+// inline as one chunk.
 [[nodiscard]] std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3& lo,
                                             const Vec3& hi, double cell_width,
-                                            parallel::FixedThreadPool* pool, int n_chunks);
+                                            parallel::FixedThreadPool* pool = nullptr,
+                                            int n_chunks = 1);
 
 // Inverse permutation: inverse[new_order[k]] = k.  Validates that new_order
 // is a permutation of [0, n).

@@ -21,30 +21,9 @@ void NeighborList::begin_rebuild(std::span<const Vec3> positions) {
   std::fill(counts_.begin(), counts_.end(), 0);
 }
 
-void NeighborList::finalize_offsets() {
-  std::size_t running = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    offsets_[i] = running;
-    running += static_cast<std::size_t>(counts_[i]);
-  }
-  offsets_[counts_.size()] = running;
-  total_ = running;
-  // Grow-only: steady-state rebuilds reuse the high-water allocation instead
-  // of churning the allocator every few steps.  The grown tail stays
-  // untouched here — the fill pass writes every live entry before any reader
-  // sees it, and writing from the filling worker is what places the pages.
-  if (entries_.size() < total_) entries_.resize_uninitialized(total_);
-  std::fill(cursor_.begin(), cursor_.end(), 0);
-}
-
 void NeighborList::finalize_offsets(parallel::FixedThreadPool* pool, int n_chunks) {
   const std::size_t n = counts_.size();
-  if (pool == nullptr || n_chunks <= 1 || n < 2) {
-    finalize_offsets();
-    return;
-  }
-  const int chunks = static_cast<int>(
-      std::min(static_cast<long long>(n_chunks), static_cast<long long>(n)));
+  const int chunks = pool == nullptr ? 1 : std::clamp(n_chunks, 1, static_cast<int>(n));
   scan_bases_.assign(static_cast<std::size_t>(chunks) + 1, 0);
   // Pass 1: chunk-local exclusive prefixes + chunk totals.
   parallel::for_chunks(pool, chunks, static_cast<long long>(n),
@@ -71,8 +50,10 @@ void NeighborList::finalize_offsets(parallel::FixedThreadPool* pool, int n_chunk
   });
   total_ = scan_bases_[static_cast<std::size_t>(chunks)];
   offsets_[n] = total_;
-  // Same grow-only discipline as the serial path: the grown tail stays
-  // untouched here so the parallel fill pass still first-touches the pages.
+  // Grow-only: steady-state rebuilds reuse the high-water allocation instead
+  // of churning the allocator every few steps.  The grown tail stays
+  // untouched here — the fill pass writes every live entry before any reader
+  // sees it, and writing from the filling worker is what places the pages.
   if (entries_.size() < total_) entries_.resize_uninitialized(total_);
 }
 

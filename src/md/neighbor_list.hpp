@@ -17,7 +17,7 @@
 //
 //   1. count   — each chunk scans its atoms' candidate cells and records the
 //                accepted-neighbor count via set_count(i, c);
-//   2. prefix  — finalize_offsets() (serial, O(n_atoms)) turns the counts
+//   2. prefix  — finalize_offsets() (a chunked block scan) turns the counts
 //                into row offsets and sizes the entry array exactly;
 //   3. fill    — each chunk re-scans and appends via add_neighbor(i, j).
 //
@@ -58,18 +58,15 @@ class NeighborList {
     MWX_ASSERT(c >= 0);
     counts_[static_cast<std::size_t>(i)] = c;
   }
-  // Serial barrier between count and fill: prefix-sums the counts into row
+  // Barrier between count and fill: prefix-sums the counts into row
   // offsets, sizes the entry array to the exact total, and resets the fill
   // cursors.  total_entries() is finalized here — O(1) to read ever after.
-  // This serial scan is the reference the parallel overload must match.
-  void finalize_offsets();
-  // Two-level parallel block scan: chunks compute local exclusive prefixes
-  // and totals, a tiny serial scan anchors the chunk bases, chunks add their
-  // base back (and reset their fill cursors) in a second sweep.  Exact
-  // integer arithmetic — offsets_/total_ are identical to the serial scan
-  // for any pool width or chunk count.  This removes the O(n_atoms) serial
-  // barrier from the overlap schedule (engine.cpp, kPhaseOverlap).
-  void finalize_offsets(parallel::FixedThreadPool* pool, int n_chunks);
+  // A two-level block scan: chunks compute local exclusive prefixes and
+  // totals, an O(chunks) scan anchors the chunk bases, chunks add their base
+  // back (and reset their fill cursors) in a second sweep.  Exact integer
+  // arithmetic, so offsets_/total_ do not depend on the pool width or chunk
+  // count.  A null pool runs both sweeps inline as one chunk.
+  void finalize_offsets(parallel::FixedThreadPool* pool = nullptr, int n_chunks = 1);
   void add_neighbor(int i, int j) {
     auto& cur = cursor_[static_cast<std::size_t>(i)];
     require(cur < counts_[static_cast<std::size_t>(i)],
@@ -115,7 +112,7 @@ class NeighborList {
   // pass — each worker writing its own rows — is what first-touches (and
   // thereby NUMA-homes) the pages.
   PageVec<int> entries_;              // exactly total_ packed entries
-  std::vector<std::size_t> scan_bases_;  // parallel prefix: per-chunk totals/bases
+  std::vector<std::size_t> scan_bases_;  // prefix scan: per-chunk totals/bases
   std::size_t total_ = 0;
   std::vector<Vec3> ref_pos_;
   long long rebuild_count_ = 0;

@@ -15,7 +15,7 @@ using ClassKey = std::pair<int, bool>;
 
 // Tags that only occur on neighbor-rebuild steps; their presence inside a
 // step bracket marks the whole step as a rebuild step.
-bool is_rebuild_tag(int tag) { return tag == 3 || tag >= 7; }
+bool is_rebuild_tag(int tag) { return tag >= 7; }
 
 // Rebuild pipeline phases charged as exactly one task per worker
 // (Engine::charge_rebuild_phase), regardless of chunks_per_thread.

@@ -51,7 +51,7 @@ md::MolecularSystem make_lj_gas(int n, double density, double temperature_k,
 
 // Like make_lj_gas, but with atom creation order shuffled (the scene-file
 // idiom above) and a net-neutral +-1e charge pattern on ~`charged_fraction`
-// of the atoms.  This is the raw_speed ablation workload: irregular gathers
+// of the atoms.  This is the gas16k benchmark workload: irregular gathers
 // through both the LJ and Coulomb kernels at once.
 md::MolecularSystem make_lj_coulomb_gas(int n, double density, double temperature_k,
                                         double charged_fraction, std::uint64_t seed);

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/units.hpp"
 #include "md/engine.hpp"
+#include "md/kernels.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rebuild_oracle.hpp"
 #include "sim/machine.hpp"
 #include "topo/machine_spec.hpp"
 #include "workloads/workloads.hpp"
@@ -232,26 +235,45 @@ TEST(EngineTest, AllQueueModesMatchInlineBitwise) {
 
 TEST(EngineTest, SparseReductionMatchesDenseBitwise) {
   // Untouched entries are exactly +0.0 and adding +0.0 is a bitwise no-op,
-  // so skipping untouched (slot, block) pairs must not change one bit.
-  auto make = [](bool sparse) {
-    auto spec = workloads::make_salt(4);
-    auto cfg = spec.engine;
-    cfg.n_threads = 4;
-    cfg.chunks_per_thread = 2;
-    cfg.assignment = sim::Assignment::WorkStealing;
-    cfg.temporaries = TemporariesMode::InPlace;
-    cfg.sparse_reduction = sparse;
-    return Engine(std::move(spec.system), cfg);
+  // so skipping untouched (slot, block) pairs must not change one bit of
+  // the paper's dense sweep.  Contiguous Coulomb chunks (the work-stealing
+  // decomposition) leave the upper slots' low blocks untouched.
+  constexpr int kSlots = 8;
+  MolecularSystem sparse_sys = workloads::make_salt(4).system;
+  MolecularSystem dense_sys = workloads::make_salt(4).system;
+  const int n = sparse_sys.n_atoms();
+  auto scatter = [](const MolecularSystem& sys, ForceBuffers& buf) {
+    const CostTable costs;
+    PackedCharges packed;
+    packed.pack(sys);
+    NullMem mem;
+    for (int c = 0; c < kSlots; ++c) {
+      coulomb_chunk(sys, costs, packed, buf, c, sys.n_charged() * c / kSlots,
+                    sys.n_charged() * (c + 1) / kSlots, 1, mem);
+    }
   };
-  Engine dense = make(false);
-  dense.run_inline(12);
-  Engine sparse = make(true);
-  sparse.run_inline(12);
-  EXPECT_EQ(dense.total_energy(), sparse.total_energy());
-  for (int i = 0; i < dense.system().n_atoms(); ++i) {
-    ASSERT_EQ(dense.system().positions()[static_cast<std::size_t>(i)],
-              sparse.system().positions()[static_cast<std::size_t>(i)])
-        << "atom " << i;
+  ForceBuffers sparse_buf(kSlots, n), dense_buf(kSlots, n);
+  scatter(sparse_sys, sparse_buf);
+  scatter(dense_sys, dense_buf);
+  ASSERT_LT(sparse_buf.touched_blocks(kSlots - 1), sparse_buf.n_blocks())
+      << "no (slot, block) pair was left to skip";
+
+  const CostTable costs;
+  NullMem mem;
+  for (int c = 0; c < kSlots; ++c) {
+    reduce_chunk_sparse(sparse_sys, costs, sparse_buf, n * c / kSlots, n * (c + 1) / kSlots,
+                        mem);
+  }
+  oracle::reduce_dense(dense_sys, dense_buf, 0, n);
+  for (int i = 0; i < n; ++i) {
+    const Vec3& a = sparse_sys.accelerations()[static_cast<std::size_t>(i)];
+    const Vec3& b = dense_sys.accelerations()[static_cast<std::size_t>(i)];
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof(Vec3)), 0) << "atom " << i;
+    for (int w = 0; w < kSlots; ++w) {
+      const Vec3 zero{};
+      ASSERT_EQ(std::memcmp(&sparse_buf.force_raw(w, i), &zero, sizeof(Vec3)), 0)
+          << "slot " << w << " atom " << i << " not zeroed";
+    }
   }
 }
 

@@ -211,8 +211,12 @@ TEST(PlannerTest, PhaseTagNamesAreSingleSourced) {
   EXPECT_STREQ(md::phase_tag_name(md::kPhaseForces), "forces");
   EXPECT_STREQ(md::phase_tag_name(md::kPhaseMortonSort), "morton-sort");
   EXPECT_EQ(md::phase_tag_name(md::kNumPhaseTags), nullptr);
+  // Tag 3 is retired: it keeps its slot (no later phase takes its number)
+  // but has no name, so the emitted map skips it.
+  EXPECT_EQ(md::phase_tag_name(3), nullptr);
   const auto names = md::phase_tag_name_map();
-  EXPECT_EQ(names.size(), std::size_t(md::kNumPhaseTags));
+  EXPECT_EQ(names.size(), std::size_t(md::kNumPhaseTags - 1));
+  EXPECT_EQ(names.count(3), 0u);
   EXPECT_EQ(names.at(md::kPhaseBin), "bin");
 
   // ...and it rides inside the emitted artifacts.

@@ -1,10 +1,11 @@
-// Determinism proofs for the parallel rebuild pipeline: every parallel
-// overload (cell binning, CSR prefix scan, Morton radix sort, chunked scene
-// serialization) must be bit/byte-identical to its serial reference at every
-// thread/chunk count, under every queue discipline — and the engine's
-// energies must not depend on the parallel_rebuild switch at all.  Plus the
-// >= 1M-atom integer-overflow guards (OverflowGuardTest — big-index address
-// models, no big allocations; deliberately outside the tsan preset filter).
+// Determinism proofs for the chunked rebuild pipeline: every pass (cell
+// binning, CSR prefix scan, Morton radix sort, chunked scene serialization)
+// must be bit/byte-identical to its serial reference (rebuild_oracle.hpp,
+// scene_io_oracle.hpp) at every thread/chunk count, under every queue
+// discipline, down to empty and single-atom inputs — and the engine's
+// energies must not depend on the pool at all.  Plus the >= 1M-atom
+// integer-overflow guards (OverflowGuardTest — big-index address models, no
+// big allocations; deliberately outside the tsan preset filter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "md/neighbor_list.hpp"
 #include "md/scene_io.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rebuild_oracle.hpp"
 #include "scene_io_oracle.hpp"
 #include "serve/scene_cache.hpp"
 #include "sim/machine.hpp"
@@ -45,37 +47,48 @@ md::MolecularSystem irregular_system(int n) {
   return workloads::make_droplet(n, 110.0, 7);
 }
 
-void expect_grids_equal(const md::CellGrid& a, const md::CellGrid& b) {
-  ASSERT_EQ(a.n_cells(), b.n_cells());
-  ASSERT_EQ(a.n_binned(), b.n_binned());
-  for (int c = 0; c < a.n_cells(); ++c) {
-    ASSERT_EQ(a.cell_count(c), b.cell_count(c)) << "cell " << c;
-    ASSERT_TRUE(std::equal(a.cell_begin(c), a.cell_end(c), b.cell_begin(c)))
+void expect_grid_matches(const md::oracle::CellTable& ref, const md::CellGrid& grid) {
+  ASSERT_EQ(static_cast<std::size_t>(grid.n_cells()) + 1, ref.start.size());
+  ASSERT_EQ(grid.n_binned(), ref.occupants.size());
+  for (int c = 0; c < grid.n_cells(); ++c) {
+    const std::size_t cs = static_cast<std::size_t>(c);
+    ASSERT_EQ(grid.cell_count(c), ref.start[cs + 1] - ref.start[cs]) << "cell " << c;
+    ASSERT_TRUE(std::equal(grid.cell_begin(c), grid.cell_end(c),
+                           ref.occupants.begin() + ref.start[cs]))
         << "cell " << c;
+  }
+}
+
+void expect_offsets_match(const md::NeighborList& nl) {
+  const std::vector<std::size_t> ref = md::oracle::prefix_offsets(nl);
+  ASSERT_EQ(nl.total_entries(), ref.back());
+  for (int i = 0; i < nl.n_atoms(); ++i) {
+    ASSERT_EQ(nl.entry_index(i, 0), ref[static_cast<std::size_t>(i)]) << "row " << i;
   }
 }
 
 TEST(RebuildParallelTest, BinningMatchesSerialAcrossThreadsAndModes) {
   md::MolecularSystem sys = irregular_system(3000);
   const double reach = 8.9;
-  md::CellGrid ref(sys.box().lo, sys.box().hi, reach);
-  ref.bin(sys.positions());
+  md::CellGrid par(sys.box().lo, sys.box().hi, reach);
+  const md::oracle::CellTable ref = md::oracle::bin(par, sys.positions());
+  par.bin(sys.positions());
+  expect_grid_matches(ref, par);
   for (QueueMode mode : kModes) {
     for (int t : kThreadCounts) {
       FixedThreadPool pool({.n_threads = t, .queue_mode = mode});
-      md::CellGrid par(sys.box().lo, sys.box().hi, reach);
       // Chunk counts both below and above the worker count.
       for (int chunks : {1, 2, t, 3 * t}) {
         par.bin(sys.positions(), &pool, chunks);
-        expect_grids_equal(ref, par);
+        expect_grid_matches(ref, par);
       }
     }
   }
 }
 
 TEST(RebuildParallelTest, BinningReusesHoistedCursorAcrossRebuilds) {
-  // Serial path regression for the hoisted cursor: repeated bins (with
-  // motion in between) stay correct — every atom lands in exactly one cell.
+  // One-chunk path regression: repeated bins (with motion in between) stay
+  // correct — every atom lands in exactly one cell.
   md::MolecularSystem sys = irregular_system(500);
   md::CellGrid grid(sys.box().lo, sys.box().hi, 8.9);
   Rng rng(3);
@@ -109,6 +122,7 @@ TEST(RebuildParallelTest, PrefixScanMatchesSerialAcrossThreadsAndModes) {
   };
   set_counts(ref);
   ref.finalize_offsets();
+  expect_offsets_match(ref);
   for (QueueMode mode : kModes) {
     for (int t : kThreadCounts) {
       FixedThreadPool pool({.n_threads = t, .queue_mode = mode});
@@ -117,10 +131,7 @@ TEST(RebuildParallelTest, PrefixScanMatchesSerialAcrossThreadsAndModes) {
         par.begin_rebuild(sys.positions());
         set_counts(par);
         par.finalize_offsets(&pool, chunks);
-        ASSERT_EQ(ref.total_entries(), par.total_entries());
-        for (int i = 0; i < n; ++i) {
-          ASSERT_EQ(ref.entry_index(i, 0), par.entry_index(i, 0)) << "row " << i;
-        }
+        expect_offsets_match(par);
       }
     }
   }
@@ -130,7 +141,8 @@ TEST(RebuildParallelTest, MortonRadixMatchesStableSortAcrossThreadsAndModes) {
   md::MolecularSystem sys = irregular_system(4000);
   const double reach = 8.9;
   const std::vector<int> ref =
-      md::morton_order(sys.positions(), sys.box().lo, sys.box().hi, reach);
+      md::oracle::morton_order(sys.positions(), sys.box().lo, sys.box().hi, reach);
+  EXPECT_EQ(ref, md::morton_order(sys.positions(), sys.box().lo, sys.box().hi, reach));
   for (QueueMode mode : kModes) {
     for (int t : kThreadCounts) {
       FixedThreadPool pool({.n_threads = t, .queue_mode = mode});
@@ -201,17 +213,16 @@ TEST(RebuildParallelTest, SceneTextMatchesOracleWriterForEveryGenerator) {
   }
 }
 
-TEST(RebuildParallelTest, EngineEnergiesIndependentOfParallelRebuild) {
-  // The full pipeline through the engine: every (backend x queue mode x
-  // parallel_rebuild) combination must report bitwise-equal energies, with
-  // the Morton pass on every rebuild (reorder_interval = 1).
-  auto energies = [](bool parallel_rebuild, int pool_threads,
-                     QueueMode mode) -> std::vector<double> {
+TEST(RebuildParallelTest, EngineEnergiesIndependentOfPoolAndQueueMode) {
+  // The full pipeline through the engine: the inline run (no pool, one
+  // chunk per pass) and every (pool width x queue mode) native run must
+  // report bitwise-equal energies, with the Morton pass on every rebuild
+  // (reorder_interval = 1).
+  auto energies = [](int pool_threads, QueueMode mode) -> std::vector<double> {
     workloads::BenchmarkSpec spec = workloads::make_al1000();
     md::EngineConfig cfg = spec.engine;
     cfg.n_threads = 4;
     cfg.reorder_interval = 1;
-    cfg.parallel_rebuild = parallel_rebuild;
     md::Engine engine(std::move(spec.system), cfg);
     std::vector<double> out;
     if (pool_threads == 0) {
@@ -230,13 +241,66 @@ TEST(RebuildParallelTest, EngineEnergiesIndependentOfParallelRebuild) {
     }
     return out;
   };
-  const std::vector<double> ref = energies(false, 0, QueueMode::Single);
+  const std::vector<double> ref = energies(0, QueueMode::Single);
   ASSERT_EQ(ref.size(), 12u);
-  EXPECT_EQ(ref, energies(true, 0, QueueMode::Single));  // inline, no pool
   for (QueueMode mode : kModes) {
-    for (int t : {1, 2, 4, 8}) {
-      EXPECT_EQ(ref, energies(false, t, mode));
-      EXPECT_EQ(ref, energies(true, t, mode));
+    for (int t : {1, 2, 4, 8}) EXPECT_EQ(ref, energies(t, mode));
+  }
+}
+
+TEST(RebuildParallelTest, BinRewritesEveryCellForEmptyAndSingleAtomInput) {
+  md::MolecularSystem sys = irregular_system(500);
+  const Vec3 lo = sys.box().lo, hi = sys.box().hi;
+  const std::vector<Vec3> none;
+  const std::vector<Vec3> one{sys.positions()[7]};
+  FixedThreadPool pool({.n_threads = 4});
+  md::CellGrid grid(lo, hi, 8.9);
+  for (FixedThreadPool* p : {static_cast<FixedThreadPool*>(nullptr), &pool}) {
+    for (int chunks : {1, 4}) {
+      // Each small bin follows a full one, so a stale row start or occupant
+      // count from the previous pass would show.
+      for (const std::vector<Vec3>* input : {&none, &one}) {
+        grid.bin(sys.positions(), p, chunks);
+        expect_grid_matches(md::oracle::bin(grid, sys.positions()), grid);
+        grid.bin(*input, p, chunks);
+        expect_grid_matches(md::oracle::bin(grid, *input), grid);
+      }
+    }
+  }
+  grid.bin(one);
+  ASSERT_EQ(grid.n_binned(), 1u);
+  EXPECT_EQ(*grid.cell_begin(grid.cell_of(one[0])), 0);
+}
+
+TEST(RebuildParallelTest, PrefixScanRewritesOffsetsForSingleAtomList) {
+  const std::vector<Vec3> pos{{1.0, 2.0, 3.0}};
+  FixedThreadPool pool({.n_threads = 4});
+  md::NeighborList nl(1, 8.0, 0.9);
+  for (FixedThreadPool* p : {static_cast<FixedThreadPool*>(nullptr), &pool}) {
+    for (int chunks : {1, 4}) {
+      for (int count : {5, 0}) {
+        nl.begin_rebuild(pos);
+        nl.set_count(0, count);
+        nl.finalize_offsets(p, chunks);
+        expect_offsets_match(nl);
+        EXPECT_EQ(nl.total_entries(), static_cast<std::size_t>(count));
+        // The fill cursor was reset: the row takes exactly `count` entries.
+        for (int k = 0; k < count; ++k) nl.add_neighbor(0, k);
+        EXPECT_THROW(nl.add_neighbor(0, count), ContractError);
+      }
+    }
+  }
+}
+
+TEST(RebuildParallelTest, MortonOrderHandlesEmptyAndSingleAtomInput) {
+  const Vec3 lo{0.0, 0.0, 0.0}, hi{50.0, 50.0, 50.0};
+  const std::vector<Vec3> none;
+  const std::vector<Vec3> one{{10.0, 20.0, 30.0}};
+  FixedThreadPool pool({.n_threads = 4});
+  for (FixedThreadPool* p : {static_cast<FixedThreadPool*>(nullptr), &pool}) {
+    for (int chunks : {1, 4}) {
+      EXPECT_TRUE(md::morton_order(none, lo, hi, 8.9, p, chunks).empty());
+      EXPECT_EQ(md::morton_order(one, lo, hi, 8.9, p, chunks), std::vector<int>{0});
     }
   }
 }
@@ -274,7 +338,6 @@ TEST(RebuildParallelTest, SimulatedBackendChargesParallelRebuildPhases) {
   md::EngineConfig cfg = spec.engine;
   cfg.n_threads = 4;
   cfg.reorder_interval = 1;
-  cfg.parallel_rebuild = true;
   md::Engine engine(std::move(spec.system), cfg);
   sim::MachineConfig mc;
   mc.spec = topo::core_i7_920();
@@ -305,23 +368,27 @@ TEST(RebuildParallelTest, SimulatedBackendChargesParallelRebuildPhases) {
   EXPECT_EQ(g.dram_writebacks, sum.dram_writebacks);
 }
 
-TEST(RebuildParallelTest, SimulatedEnergiesIndependentOfParallelRebuild) {
-  // The cost-model switch changes simulated *time*, never physics.
-  auto run = [](bool parallel_rebuild) {
+TEST(RebuildParallelTest, SimulatedEnergiesMatchInline) {
+  // The traced backend runs the rebuild passes inline yet charges them as
+  // parallel phases: that changes simulated *time*, never physics.
+  auto make = [] {
     workloads::BenchmarkSpec spec = workloads::make_al1000();
     md::EngineConfig cfg = spec.engine;
     cfg.n_threads = 2;
     cfg.reorder_interval = 1;
-    cfg.parallel_rebuild = parallel_rebuild;
-    md::Engine engine(std::move(spec.system), cfg);
-    sim::MachineConfig mc;
-    mc.spec = topo::core_i7_920();
-    mc.n_threads = 2;
-    sim::Machine machine(mc);
-    engine.run_simulated(machine, 4);
-    return std::pair{engine.total_energy(), engine.potential_energy()};
+    return md::Engine(std::move(spec.system), cfg);
   };
-  EXPECT_EQ(run(false), run(true));
+  md::Engine traced = make();
+  sim::MachineConfig mc;
+  mc.spec = topo::core_i7_920();
+  mc.n_threads = 2;
+  sim::Machine machine(mc);
+  traced.run_simulated(machine, 4);
+  md::Engine inline_engine = make();
+  inline_engine.run_inline(4);
+  ASSERT_GE(traced.rebuild_count(), 1);
+  EXPECT_EQ(traced.total_energy(), inline_engine.total_energy());
+  EXPECT_EQ(traced.potential_energy(), inline_engine.potential_energy());
 }
 
 // --- >= 1M-atom integer-overflow guards -------------------------------------

@@ -1,12 +1,14 @@
-// Tier-2 raw-speed guarantees: every switch in the speed ablation is
-// value-preserving.
+// Tier-2 raw-speed guarantees: every speed path is value-preserving.
 //
-//  * PME spread/interpolate lane loops vs the recursive scalar path —
-//    bitwise, across spline orders, tail atom counts, and mostly-empty grids;
-//  * tiled Coulomb kernel vs the scalar pair loop — bitwise, including
+//  * PME spread/interpolate lane loops — energy bits and a hash of the force
+//    bits pinned across spline orders, tail atom counts, and mostly-empty
+//    grids (recorded while the recursive scalar path still ran beside them
+//    and matched them bit for bit);
+//  * the native Coulomb kernel vs the scalar pair loop — bitwise, including
 //    non-multiple-of-kCoulombTile tails and the coincident-charge skip;
-//  * the overlapped rebuild schedule vs the barriered one — bitwise across
-//    worker counts and queue disciplines (accumulation-slot serial chains);
+//  * the overlapped rebuild schedule — native runs bitwise equal to the
+//    inline reference across worker counts and queue disciplines
+//    (accumulation-slot serial chains);
 //  * first-touch placement — pure page movement, energies unchanged;
 //  * density-derived neighbor capacity — covers the measured max CSR row on
 //    both a sparse gas and a dense bulk crystal, and the heap-model regions
@@ -18,7 +20,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "md/engine.hpp"
@@ -60,70 +64,115 @@ std::vector<double> alternating_charges(int n) {
   return q;
 }
 
-void expect_pme_bitwise(const Vec3& box, std::span<const Vec3> pos,
-                        std::span<const double> q, int spline_order) {
-  md::ewald::EwaldParams params;
-  params.alpha = 0.35;
-  params.r_cutoff = 6.0;
-  params.grid = 16;
-  params.spline_order = spline_order;
-
-  params.vectorized = false;
-  const md::ewald::EwaldResult scalar = md::ewald::PmeSolver(box, params).compute(pos, q);
-  params.vectorized = true;
-  const md::ewald::EwaldResult vec = md::ewald::PmeSolver(box, params).compute(pos, q);
-
-  EXPECT_TRUE(bits_eq(scalar.energy, vec.energy))
-      << "order " << spline_order << " n " << pos.size() << ": energy "
-      << scalar.energy << " vs " << vec.energy;
-  ASSERT_EQ(scalar.forces.size(), vec.forces.size());
-  for (std::size_t i = 0; i < scalar.forces.size(); ++i) {
-    ASSERT_TRUE(bits_eq(scalar.forces[i], vec.forces[i]))
-        << "order " << spline_order << " n " << pos.size() << " atom " << i;
+// FNV-1a over the forces' IEEE bits, x/y/z per atom in order.
+std::uint64_t force_bits_hash(const std::vector<Vec3>& forces) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Vec3& f : forces) {
+    for (double d : {f.x, f.y, f.z}) {
+      unsigned char bytes[sizeof(double)];
+      std::memcpy(bytes, &d, sizeof(double));
+      for (unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+      }
+    }
   }
+  return h;
+}
+
+struct PmePin {
+  int n;
+  int spline_order;
+  std::uint64_t energy_bits;
+  std::uint64_t force_hash;
+};
+
+// Energy bits and force-bit hashes of PmeSolver::compute on a 20 Å box
+// (alpha 0.35, r_cutoff 6, grid 16).  n = 17 is the clustered case.
+constexpr PmePin kPmePins[] = {
+    {0, 3, 0x0000000000000000ull, 0xcbf29ce484222325ull},
+    {0, 4, 0x0000000000000000ull, 0xcbf29ce484222325ull},
+    {0, 5, 0x0000000000000000ull, 0xcbf29ce484222325ull},
+    {0, 6, 0x0000000000000000ull, 0xcbf29ce484222325ull},
+    {1, 3, 0xbf840616d998cb62ull, 0x6fa824da7e4a9501ull},
+    {1, 4, 0xbf843ec867935f2cull, 0x3b6a31afb6e07efcull},
+    {1, 5, 0xbf842bed15bf42f0ull, 0x5df33ed01d950735ull},
+    {1, 6, 0xbf842fec1932e7b2ull, 0x4cb12cc3d809bd8eull},
+    {5, 3, 0xbfb050c06ff04cf3ull, 0x94b85256c13b8b8cull},
+    {5, 4, 0xbfb068d1b45199f4ull, 0xc5e169df2701e3efull},
+    {5, 5, 0xbfb060e525acafb5ull, 0x35fa4c9a3a6b3fa1ull},
+    {5, 6, 0xbfb0627deaae2e5dull, 0x217aa6e1bd6770acull},
+    {17, 3, 0xbfe1bfbe5d10ca1full, 0xc2dcccc1a01e70b9ull},
+    {17, 4, 0xbfe1bfcacbbe18e8ull, 0x214cd780302f5f7cull},
+    {17, 5, 0xbfe1bee0931b8738ull, 0x24647cd336b37d38ull},
+    {17, 6, 0xbfe1bf09d33b805cull, 0x44afe3ada8b55114ull},
+    {33, 3, 0xbfe2bbf0b0bf2f38ull, 0xb2ac0279737db1a6ull},
+    {33, 4, 0xbfe2d6dd93f126e4ull, 0x258fd5a89f7cfa3full},
+    {33, 5, 0xbfe2cdcd84447b61ull, 0xb6a60fde6ff91e4aull},
+    {33, 6, 0xbfe2cf9f77237792ull, 0xd619e38d7b6257c7ull},
+    {64, 3, 0xbffab13ae80c69f4ull, 0x8a02606802e4d362ull},
+    {64, 4, 0xbffac7d52ac885c5ull, 0x80ff1ed268bd93bcull},
+    {64, 5, 0xbffac0039ba7e65eull, 0xf1601a720072f897ull},
+    {64, 6, 0xbffac1ced73df200ull, 0xb84003c2fbfbd5f6ull},
+};
+
+void expect_pme_pinned(int n) {
+  const Vec3 box{20.0, 20.0, 20.0};
+  const std::vector<Vec3> pos = scatter_positions(n, box, n == 17 ? 0.15 : 1.0);
+  const std::vector<double> q = alternating_charges(n);
+  int checked = 0;
+  for (const PmePin& pin : kPmePins) {
+    if (pin.n != n) continue;
+    md::ewald::EwaldParams params;
+    params.alpha = 0.35;
+    params.r_cutoff = 6.0;
+    params.grid = 16;
+    params.spline_order = pin.spline_order;
+    const md::ewald::EwaldResult r = md::ewald::PmeSolver(box, params).compute(pos, q);
+    std::uint64_t energy_bits = 0;
+    std::memcpy(&energy_bits, &r.energy, sizeof(double));
+    EXPECT_EQ(energy_bits, pin.energy_bits)
+        << "order " << pin.spline_order << " n " << n << ": energy " << r.energy;
+    EXPECT_EQ(force_bits_hash(r.forces), pin.force_hash)
+        << "order " << pin.spline_order << " n " << n;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 4) << "spline orders 3-6 for n " << n;
 }
 
 TEST(PmeVectorized, BitIdenticalAcrossOrdersAndTails) {
-  const Vec3 box{20.0, 20.0, 20.0};
   // 1, 5, 33: tails shorter than, equal to, and longer than any lane width;
   // 64: whole tiles only.
-  for (int n : {1, 5, 33, 64}) {
-    const std::vector<Vec3> pos = scatter_positions(n, box);
-    const std::vector<double> q = alternating_charges(n);
-    for (int order = 3; order <= 6; ++order) {
-      expect_pme_bitwise(box, pos, q, order);
-    }
-  }
+  for (int n : {1, 5, 33, 64}) expect_pme_pinned(n);
 }
 
 TEST(PmeVectorized, BitIdenticalOnMostlyEmptyGrid) {
   // All atoms clustered in one corner octant: most grid cells carry zero
   // charge, and several atoms sit within a spline support of the wrap seam.
-  const Vec3 box{20.0, 20.0, 20.0};
-  const std::vector<Vec3> pos = scatter_positions(17, box, 0.15);
-  const std::vector<double> q = alternating_charges(17);
-  for (int order = 3; order <= 6; ++order) {
-    expect_pme_bitwise(box, pos, q, order);
-  }
+  expect_pme_pinned(17);
 }
 
-TEST(PmeVectorized, BitIdenticalWithNoAtoms) {
-  const Vec3 box{20.0, 20.0, 20.0};
-  expect_pme_bitwise(box, {}, {}, 4);
-}
+TEST(PmeVectorized, BitIdenticalWithNoAtoms) { expect_pme_pinned(0); }
 
 // --- Coulomb kernel ----------------------------------------------------------
 
-// Runs coulomb_chunk over the whole charged list into one slot and returns
-// (forces, pe).
+// Runs the whole charged list into one slot — through coulomb_chunk (the
+// native kernel where the build has AVX2) or row by row through the scalar
+// pair loop — and returns (forces, pe).
 std::pair<std::vector<Vec3>, double> coulomb_all(const md::MolecularSystem& sys,
-                                                 bool tiled) {
+                                                 bool scalar) {
   md::CostTable costs;
   md::ForceBuffers buf(1, sys.n_atoms());
   md::NullMem mem;
   md::PackedCharges packed;
   packed.pack(sys);
-  md::coulomb_chunk(sys, costs, buf, 0, 0, sys.n_charged(), 1, mem, tiled, &packed);
+  if (scalar) {
+    for (int ci = 0; ci < sys.n_charged(); ++ci) {
+      md::coulomb_row_scalar(sys, costs, buf, 0, ci, mem);
+    }
+  } else {
+    md::coulomb_chunk(sys, costs, packed, buf, 0, 0, sys.n_charged(), 1, mem);
+  }
   std::vector<Vec3> forces(static_cast<std::size_t>(sys.n_atoms()));
   for (int i = 0; i < sys.n_atoms(); ++i) {
     forces[static_cast<std::size_t>(i)] = buf.force_raw(0, i);
@@ -132,11 +181,11 @@ std::pair<std::vector<Vec3>, double> coulomb_all(const md::MolecularSystem& sys,
 }
 
 void expect_coulomb_bitwise(const md::MolecularSystem& sys) {
-  const auto [fs, pes] = coulomb_all(sys, /*tiled=*/false);
-  const auto [ft, pet] = coulomb_all(sys, /*tiled=*/true);
-  EXPECT_TRUE(bits_eq(pes, pet)) << pes << " vs " << pet;
+  const auto [fs, pes] = coulomb_all(sys, /*scalar=*/true);
+  const auto [fn, pen] = coulomb_all(sys, /*scalar=*/false);
+  EXPECT_TRUE(bits_eq(pes, pen)) << pes << " vs " << pen;
   for (int i = 0; i < sys.n_atoms(); ++i) {
-    ASSERT_TRUE(bits_eq(fs[static_cast<std::size_t>(i)], ft[static_cast<std::size_t>(i)]))
+    ASSERT_TRUE(bits_eq(fs[static_cast<std::size_t>(i)], fn[static_cast<std::size_t>(i)]))
         << "atom " << i;
   }
 }
@@ -157,6 +206,22 @@ TEST(CoulombTiled, BitIdenticalWithCoincidentCharges) {
   sys.add_atom(kX, {5.0, 5.0, 5.0}, {}, -1.0);
   for (int i = 0; i < 12; ++i) {
     sys.add_atom(kX, {8.0 + 1.3 * i, 9.0 + 0.7 * i, 10.0 + 0.4 * i}, {},
+                 i % 2 == 0 ? +1.0 : -1.0);
+  }
+  expect_coulomb_bitwise(sys);
+}
+
+TEST(CoulombTiled, BitIdenticalWithCoincidentChargeAfterFullBlock) {
+  md::AtomTypeTable types;
+  const int kX = types.add({"X", 20.0, 0.0, 3.0});
+  md::Box box{{0, 0, 0}, {40, 40, 40}};
+  md::MolecularSystem sys(types, box);
+  // Charge 10 sits exactly on charge 0: row 0 commits its first full block
+  // of kCoulombTile pairs, then meets the coincident pair in the second
+  // block and finishes on the scalar loop.
+  for (int i = 0; i < 20; ++i) {
+    const int k = i == 10 ? 0 : i;
+    sys.add_atom(kX, {5.0 + 1.3 * k, 6.0 + 0.7 * k, 7.0 + 0.4 * k}, {},
                  i % 2 == 0 ? +1.0 : -1.0);
   }
   expect_coulomb_bitwise(sys);
@@ -205,12 +270,7 @@ TEST(OverlapRebuild, BitIdenticalAcrossWorkersAndDisciplines) {
        {sim::Assignment::Static, sim::Assignment::SharedQueue,
         sim::Assignment::WorkStealing}) {
     for (int threads : {1, 2, 4, 8}) {
-      md::EngineConfig cfg = overlap_config(threads, assignment);
-
-      cfg.overlap_rebuild = false;
-      const double barriered = run_native_energy(cfg, steps, nullptr);
-
-      cfg.overlap_rebuild = true;
+      const md::EngineConfig cfg = overlap_config(threads, assignment);
       long long rebuilds = 0;
       const double overlapped = run_native_energy(cfg, steps, &rebuilds);
       // A deterministic repeat, and the inline reference of the same config.
@@ -219,11 +279,10 @@ TEST(OverlapRebuild, BitIdenticalAcrossWorkersAndDisciplines) {
       inline_engine.run_inline(steps);
 
       EXPECT_GT(rebuilds, 1) << "workload never exercised the overlap phase";
-      EXPECT_TRUE(bits_eq(barriered, overlapped))
-          << threads << " threads, assignment " << static_cast<int>(assignment);
       EXPECT_TRUE(bits_eq(overlapped, overlapped2)) << "nondeterministic schedule";
       EXPECT_TRUE(bits_eq(overlapped, inline_engine.total_energy()))
-          << "native diverged from inline";
+          << "native diverged from inline: " << threads << " threads, assignment "
+          << static_cast<int>(assignment);
     }
   }
 }

@@ -185,8 +185,8 @@ TEST(TraceRingTest, NativeEngineEmitsPhaseBracketsAndTasks) {
     }
   }
   // Five dispatched phases per step (predictor, check, fused forces, reduce,
-  // corrector) plus one CSR neighbor-count phase per rebuild step, each
-  // bracketing at least one task per worker chain.
+  // corrector) plus the overlap phase (CSR count + non-LJ forces) per
+  // rebuild step, each bracketing at least one task per worker chain.
   EXPECT_EQ(phases, 2 * 5 + engine.rebuild_count());
   EXPECT_GT(tasks, phases);
 }
@@ -219,9 +219,9 @@ TEST(TraceRingTest, SimulatedBackendEmitsComparableTrace) {
     }
   }
   EXPECT_EQ(steps, 2);
-  // Five dispatched phases per step, plus three per rebuild step: the CSR
-  // count phase and — with parallel_rebuild (the default) — the bin and
-  // prefix-scan phases the simulator now times as parallel work.
+  // Five dispatched phases per step, plus three per rebuild step: the
+  // overlap phase (CSR count + non-LJ forces) and the bin and prefix-scan
+  // phases the simulator times as parallel work.
   EXPECT_EQ(phases, 2 * 5 + 3 * engine.rebuild_count());
   EXPECT_GT(tasks, 0);
   // Simulated timestamps line up with the machine clock.
