@@ -11,6 +11,8 @@
 // disagreement fraction quantifying how misleading the 2010 view was.
 #include <cstdlib>
 #include <iostream>
+#include <map>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
@@ -35,14 +37,19 @@ int main(int argc, char** argv) {
 
   const perf::EventLog& log = machine.event_log();
   const auto [t0, t1] = log.span();
-  const perf::TimelineView view({{md::kPhasePredictor, 'P'},
-                                 {md::kPhaseCheck, 'C'},
-                                 {md::kPhaseForces, 'F'},
-                                 {md::kPhaseReduce, 'R'},
-                                 {md::kPhaseCorrector, 'V'}});
+  // Each live phase tag renders as its hex digit.
+  static_assert(md::kNumPhaseTags <= 16, "phase tags no longer fit one hex digit");
+  std::map<int, char> symbols;
+  std::string legend;
+  for (const auto& [tag, name] : md::phase_tag_name_map()) {
+    if (tag == 0) continue;
+    symbols[tag] = "0123456789abcdef"[tag];
+    legend += std::string(1, symbols[tag]) + "=" + name + " ";
+  }
+  const perf::TimelineView view(symbols);
 
   std::cout << "What code is each thread executing? (Section IV-C), Al-1000, 4 cores\n"
-            << "P=predictor C=check F=forces R=reduce V=corrector .=idle\n\n";
+            << legend << ".=idle\n\n";
 
   // Zoom on a few steps in the middle of the run.
   const double mid = 0.5 * (t0 + t1);
@@ -63,14 +70,8 @@ int main(int argc, char** argv) {
   // The instantaneous query the paper asked for.
   Table table({"Time (ms)", "T0", "T1", "T2", "T3"});
   auto name_of = [](int tag) {
-    switch (tag) {
-      case md::kPhasePredictor: return "predictor";
-      case md::kPhaseCheck: return "check";
-      case md::kPhaseForces: return "forces";
-      case md::kPhaseReduce: return "reduce";
-      case md::kPhaseCorrector: return "corrector";
-      default: return "idle";
-    }
+    const char* name = tag > 0 ? md::phase_tag_name(tag) : nullptr;
+    return name != nullptr ? name : "idle";
   };
   for (int k = 0; k < 6; ++k) {
     const double t = mid + k * window / 6.0;

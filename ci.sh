@@ -4,11 +4,12 @@
 # 100k-atom rebuild emitters and of the repository benchmark (bench/e2e);
 # the forced-scalar preset's full suite; the tsan preset's concurrency suites
 # (StealDeque/ThreadPool/TaskQueue/QueueModes/Latch/Barrier/TraceRing/
-# JobHandle/Reentrancy/Serve/SceneCache/RebuildParallel), which pin the
-# lock-free executor paths, the idempotent-shutdown fix, the trace ring's
-# merge-at-read protocol, the re-entrant shared-pool/serve stack and the
-# chunked rebuild pipeline; and the asan preset's kernel/force/engine/
-# reduction/rebuild/locality/scene/executor suites.
+# JobHandle/Reentrancy/Serve/SceneCache/RebuildParallel/StepPipeline), which
+# pin the lock-free executor paths, the idempotent-shutdown fix, the trace
+# ring's merge-at-read protocol, the re-entrant shared-pool/serve stack, the
+# chunked rebuild pipeline and the fused, pipelined step phases; and the
+# asan preset's kernel/force/engine/reduction/rebuild/locality/scene/
+# executor/step-pipeline suites.
 set -euo pipefail
 cd "$(dirname "$0")"
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <string>
 
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -43,15 +44,13 @@ int main(int argc, char** argv) {
 
   // Per-phase wall time from the monitor (what JaMON would report).
   Table phases({"Phase", "Calls", "Total s", "Mean us"});
-  const std::map<std::string, std::string> phase_names = {
-      {"phase.1", "predictor"},      {"phase.2", "neighbor check"},
-      {"phase.4", "forces (3+4)"},   {"phase.5", "reduction"},
-      {"phase.6", "corrector"},
-  };
+  // Monitor keys are "phase.<tag>"; names come from the engine's tag table.
+  std::map<int, std::string> phase_names;
   for (const auto& snap : monitor.snapshot()) {
-    const auto it = phase_names.find(snap.key);
-    phases.row(it != phase_names.end() ? it->second : snap.key, snap.hits,
-               Table::fixed(snap.total_seconds, 3),
+    const int tag = std::stoi(snap.key.substr(snap.key.find('.') + 1));
+    const char* name = md::phase_tag_name(tag);
+    phase_names[tag] = name != nullptr ? name : snap.key;
+    phases.row(phase_names[tag], snap.hits, Table::fixed(snap.total_seconds, 3),
                Table::fixed(snap.mean_seconds() * 1e6, 1));
   }
   phases.print(std::cout, "Per-phase timing (JaMON-style monitor)");
@@ -59,8 +58,7 @@ int main(int argc, char** argv) {
   // Exact per-thread busy time and imbalance per phase (from the event log —
   // the view the paper's tools could not provide).
   Table balance({"Phase", "Busy s per thread (min..max)", "Imbalance (max/mean)"});
-  for (const auto& [key, label] : phase_names) {
-    const int tag = key.back() - '0';
+  for (const auto& [tag, label] : phase_names) {
     std::vector<double> busy(static_cast<std::size_t>(threads), 0.0);
     for (int t = 0; t < threads; ++t) {
       for (const auto& e : log.events_of(t)) {

@@ -21,17 +21,20 @@ namespace mwx::md {
 // A retired tag keeps its slot as nullptr, so no later phase reuses its
 // number in artifacts keyed on it.
 inline constexpr const char* kPhaseTagNames[] = {
-    "untagged",     // 0
-    "predictor",    // 1  kPhasePredictor
-    "nlist-check",  // 2  kPhaseCheck
-    nullptr,        // 3  retired (the unoverlapped CSR count pass)
-    "forces",       // 4  kPhaseForces
-    "reduce",       // 5  kPhaseReduce
-    "corrector",    // 6  kPhaseCorrector
-    "overlap",      // 7  kPhaseOverlap
-    "bin",          // 8  kPhaseBin
-    "nbr-prefix",   // 9  kPhaseNbrPrefix
-    "morton-sort",  // 10 kPhaseMortonSort
+    "untagged",                // 0
+    nullptr,                   // 1  retired (the predictor, now in 11 and 13)
+    nullptr,                   // 2  retired (the nlist check, now in 11 and 13)
+    nullptr,                   // 3  retired (the unoverlapped CSR count pass)
+    "forces",                  // 4  kPhaseForces
+    nullptr,                   // 5  retired (the reduction, now in 12 and 13)
+    nullptr,                   // 6  retired (the corrector, now in 12 and 13)
+    "overlap",                 // 7  kPhaseOverlap
+    "bin",                     // 8  kPhaseBin
+    "nbr-prefix",              // 9  kPhaseNbrPrefix
+    "morton-sort",             // 10 kPhaseMortonSort
+    "predict-check",           // 11 kPhasePredictCheck
+    "reduce-correct",          // 12 kPhaseReduceCorrect
+    "reduce-correct-predict",  // 13 kPhaseReduceCorrectPredict
 };
 inline constexpr int kNumPhaseTags = sizeof(kPhaseTagNames) / sizeof(kPhaseTagNames[0]);
 

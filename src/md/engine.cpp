@@ -199,10 +199,17 @@ std::vector<Engine::TaskDesc> Engine::forces_phase_tasks() const {
 template <typename Mem>
 void Engine::run_task(const TaskDesc& t, int buffer, Mem& mem) {
   switch (t.kind) {
-    case Kind::Predictor:
+    case Kind::ReduceCorrect:
+    case Kind::ReduceCorrectPredict:
+      reduce_chunk_sparse(sys_, config_.costs, buffers_, t.begin, t.end, mem);
+      corrector_chunk(sys_, config_.dt_fs, config_.costs, buffers_, buffer, t.begin, t.end,
+                      mem);
+      if (t.kind == Kind::ReduceCorrect) break;
+      // The next step's predictor and check read and write only this
+      // chunk's atoms, which the corrector has just finished with.
+      [[fallthrough]];
+    case Kind::PredictCheck:
       predictor_chunk(sys_, config_.dt_fs, config_.costs, t.begin, t.end, mem);
-      break;
-    case Kind::Check:
       if (check_chunk(sys_, nlist_, config_.costs, t.begin, t.end, mem)) {
         rebuild_flag_.store(true, std::memory_order_relaxed);
       }
@@ -226,13 +233,6 @@ void Engine::run_task(const TaskDesc& t, int buffer, Mem& mem) {
       break;
     case Kind::TorsionBonds:
       torsion_bond_chunk(sys_, config_.costs, buffers_, buffer, t.begin, t.end, mem);
-      break;
-    case Kind::Reduce:
-      reduce_chunk_sparse(sys_, config_.costs, buffers_, t.begin, t.end, mem);
-      break;
-    case Kind::Corrector:
-      corrector_chunk(sys_, config_.dt_fs, config_.costs, buffers_, buffer, t.begin, t.end,
-                      mem);
       break;
   }
 }
@@ -437,15 +437,23 @@ void Engine::pack_charges() {
   packed_charges_.pack(sys_);
 }
 
-void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine) {
-  const double sim_step_begin = machine != nullptr ? machine->now_seconds() : 0.0;
+void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine, bool first,
+                  bool last) {
+  // Step brackets go where the phase brackets go: the machine's ring on the
+  // simulated backend (simulated seconds), the attached ring natively.
+  perf::TraceRing* trace = machine != nullptr ? machine->config().trace
+                           : pool != nullptr  ? native_trace_
+                                              : nullptr;
+  auto now = [&] { return machine != nullptr ? machine->now_seconds() : trace->now(); };
+  const double step_begin = trace != nullptr ? now() : 0.0;
 
-  // Phase 1: predictor.
-  exec_phase(pool, machine, kPhasePredictor, atom_phase_tasks(Kind::Predictor));
-
-  // Phase 2: neighbor-list validity check.
-  rebuild_flag_.store(!nlist_.ever_built(), std::memory_order_relaxed);
-  exec_phase(pool, machine, kPhaseCheck, atom_phase_tasks(Kind::Check));
+  // Phases 1+2, fused: predictor then validity check, per chunk.  Only the
+  // first step of a run_* call dispatches it; every later step was
+  // predicted and checked by the previous step's integrate phase.
+  if (first) {
+    rebuild_flag_.store(!nlist_.ever_built(), std::memory_order_relaxed);
+    exec_phase(pool, machine, kPhasePredictCheck, atom_phase_tasks(Kind::PredictCheck));
+  }
   rebuild_now_ = rebuild_flag_.load(std::memory_order_relaxed);
 
   // Phases 3+4 (fused): optional rebuild + all force computations.  The CSR
@@ -472,16 +480,22 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine) {
     exec_phase(pool, machine, kPhaseForces, forces_phase_tasks());
   }
   if (rebuild_now_) nlist_.end_rebuild();
-
-  // Phase 5: reduction of privatized force arrays.  The sweep zeroes every
-  // touched entry, so dropping the touch marks afterwards keeps marks and
-  // data consistent for the next step's force phase.
-  exec_phase(pool, machine, kPhaseReduce, atom_phase_tasks(Kind::Reduce));
-  buffers_.clear_touched();
   last_pe_ = buffers_.drain_pe();
 
-  // Phase 6: corrector.
-  exec_phase(pool, machine, kPhaseCorrector, atom_phase_tasks(Kind::Corrector));
+  // Phases 5+6, fused: reduction then corrector, per chunk — and, when
+  // another step follows, that step's predictor and check.  Its check ORs
+  // into a flag nothing else has set yet.  The reduction zeroes every
+  // touched entry; the marks are dropped here on the master, not in the
+  // tasks: chunk bounds need not fall on kBlockAtoms boundaries, and a task
+  // clearing a block it shares would race its neighbour's read of the mark.
+  if (last) {
+    exec_phase(pool, machine, kPhaseReduceCorrect, atom_phase_tasks(Kind::ReduceCorrect));
+  } else {
+    rebuild_flag_.store(false, std::memory_order_relaxed);
+    exec_phase(pool, machine, kPhaseReduceCorrectPredict,
+               atom_phase_tasks(Kind::ReduceCorrectPredict));
+  }
+  buffers_.clear_touched();
   last_ke_ = buffers_.drain_ke();
 
   // Garbage collections triggered by this step's temporary churn appear as
@@ -494,12 +508,15 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine) {
       tracker_.collect_garbage();
     }
   }
-  if (machine != nullptr && machine->config().trace != nullptr) {
-    perf::TraceRing* trace = machine->config().trace;
-    trace->record(trace->external_lane(), perf::TraceKind::SimStep,
-                  static_cast<int>(steps_done_), sim_step_begin, machine->now_seconds());
+  if (trace != nullptr) {
+    trace->record(trace->external_lane(), perf::TraceKind::Step,
+                  static_cast<int>(steps_done_), step_begin, now());
   }
   ++steps_done_;
+}
+
+void Engine::run_steps(parallel::FixedThreadPool* pool, sim::Machine* machine, int n_steps) {
+  for (int s = 0; s < n_steps; ++s) step(pool, machine, s == 0, s == n_steps - 1);
 }
 
 void Engine::place_first_touch(parallel::FixedThreadPool& pool) {
@@ -572,17 +589,15 @@ void Engine::run_native(parallel::FixedThreadPool& pool, int n_steps) {
     place_first_touch(pool);
     placed_ = true;
   }
-  for (int s = 0; s < n_steps; ++s) step(&pool, nullptr);
+  run_steps(&pool, nullptr, n_steps);
 }
 
-void Engine::run_inline(int n_steps) {
-  for (int s = 0; s < n_steps; ++s) step(nullptr, nullptr);
-}
+void Engine::run_inline(int n_steps) { run_steps(nullptr, nullptr, n_steps); }
 
 void Engine::run_simulated(sim::Machine& machine, int n_steps) {
   require(machine.n_threads() == config_.n_threads,
           "machine worker count must match engine's configured worker count");
-  for (int s = 0; s < n_steps; ++s) step(nullptr, &machine);
+  run_steps(nullptr, &machine, n_steps);
 }
 
 void Engine::compute_forces_only() {
@@ -594,7 +609,9 @@ void Engine::compute_forces_only() {
   nlist_.finalize_offsets();
   for (const TaskDesc& t : forces_phase_tasks()) run_task(t, t.owner, mem);
   nlist_.end_rebuild();
-  for (const TaskDesc& t : atom_phase_tasks(Kind::Reduce)) run_task(t, t.owner, mem);
+  // Each atom's reduced force depends only on its block's touched slots,
+  // never on the chunking, so one range matches the stepped reduction.
+  reduce_chunk_sparse(sys_, config_.costs, buffers_, 0, sys_.n_atoms(), mem);
   buffers_.clear_touched();
   last_pe_ = buffers_.drain_pe();
 }

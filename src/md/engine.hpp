@@ -1,6 +1,6 @@
 // SimulationEngine — the parallel Molecular Workbench timestep driver.
 //
-// Implements the six-phase structure of Section II-A:
+// Implements the work of Section II-A's six-phase step:
 //   1. predictor for each atom,
 //   2. neighbor-list validity check,
 //   3. (if invalid) linked-cell repopulation + neighbor build — FUSED with
@@ -9,8 +9,12 @@
 //   5. reduction across the privatized per-worker force arrays,
 //   6. corrector.
 // Within a phase per-atom work is independent; phases are separated by
-// barrier semantics.  Work is split into 1/N contiguous chunks (optionally
-// finer) and dispatched through either execution backend:
+// barrier semantics.  Phases 1+2 and 5+6 split the atoms the same way and
+// touch only their own atoms, so each pair runs as one fused phase, and a
+// step with another step to come runs the next step's 1+2 inside its 5+6
+// task: a steady-state step is two barriers, forces and integrate (see
+// DESIGN.md, "Step schedule").  Work is split into 1/N contiguous chunks
+// (optionally finer) and dispatched through either execution backend:
 //
 //   * run_native(pool, steps)   — real threads (mwx::parallel), pure physics;
 //   * run_simulated(machine, …) — the same physics executed once per step
@@ -99,10 +103,14 @@ struct EngineConfig {
 
 // Phase identifiers used as event-log tags.
 enum PhaseId : int {
+  // 1, 2, 5 and 6 are retired: the predictor, check, reduction and corrector
+  // run inside the fused phases 11-13, and nothing records these tags any
+  // more.  Their names stay because bench/e2e still reports md.predictor_ms,
+  // md.check_ms, md.reduce_ms and md.corrector_ms from them (now 0).
+  // 3 is retired too (the unoverlapped CSR count pass); artifacts key on the
+  // numbers, so the surviving tags keep theirs.
   kPhasePredictor = 1,
   kPhaseCheck = 2,
-  // 3 is retired (the unoverlapped CSR count pass); artifacts key on the
-  // numbers, so the surviving tags keep theirs.
   kPhaseForces = 4,      // fused 3+4
   kPhaseReduce = 5,
   kPhaseCorrector = 6,
@@ -110,11 +118,14 @@ enum PhaseId : int {
   kPhaseBin = 8,         // chunked cell binning
   kPhaseNbrPrefix = 9,   // chunked CSR block scan
   kPhaseMortonSort = 10, // chunked Morton key build + radix sort
+  kPhasePredictCheck = 11,          // 1+2, opening a run_* call
+  kPhaseReduceCorrect = 12,         // 5+6, closing a run_* call
+  kPhaseReduceCorrectPredict = 13,  // 5+6, then the next step's 1+2
 };
 
 // The name table in cost_table.hpp is indexed by PhaseId; a new phase must
 // extend both in the same change.
-static_assert(kPhaseMortonSort == kNumPhaseTags - 1,
+static_assert(kPhaseReduceCorrectPredict == kNumPhaseTags - 1,
               "kPhaseTagNames (cost_table.hpp) out of sync with PhaseId");
 
 class Engine {
@@ -215,8 +226,10 @@ class Engine {
   }
 
  private:
-  enum class Kind { Predictor, Check, NeighborCount, FusedLj, Coulomb, RadialBonds,
-                    AngularBonds, TorsionBonds, Reduce, Corrector };
+  // PredictCheck, ReduceCorrect and ReduceCorrectPredict each run their
+  // per-atom kernels in that order over one chunk.
+  enum class Kind { PredictCheck, NeighborCount, FusedLj, Coulomb, RadialBonds,
+                    AngularBonds, TorsionBonds, ReduceCorrect, ReduceCorrectPredict };
   struct TaskDesc {
     Kind kind;
     int begin;
@@ -250,8 +263,11 @@ class Engine {
   void run_task(const TaskDesc& t, int buffer, Mem& mem);
 
   // Backend-generic single step; `pool` may be null (inline) and `machine`
-  // may be null (native/inline).
-  void step(parallel::FixedThreadPool* pool, sim::Machine* machine);
+  // may be null (native/inline).  `first` opens a run_* call with the
+  // predict-check phase; a step that is not `last` ends by predicting and
+  // checking the next one, which then starts at its forces.
+  void step(parallel::FixedThreadPool* pool, sim::Machine* machine, bool first, bool last);
+  void run_steps(parallel::FixedThreadPool* pool, sim::Machine* machine, int n_steps);
   void exec_phase(parallel::FixedThreadPool* pool, sim::Machine* machine, int tag,
                   const std::vector<TaskDesc>& tasks);
   void master_rebuild_prologue(parallel::FixedThreadPool* pool, sim::Machine* machine);

@@ -14,12 +14,15 @@ namespace {
 using ClassKey = std::pair<int, bool>;
 
 // Tags that only occur on neighbor-rebuild steps; their presence inside a
-// step bracket marks the whole step as a rebuild step.
-bool is_rebuild_tag(int tag) { return tag >= 7; }
+// step bracket marks the whole step as a rebuild step.  The numbers are
+// md::PhaseId values (overlap, bin, nbr-prefix, morton-sort); perf sits
+// below md, so they are spelled out here.
+bool is_rebuild_tag(int tag) { return tag == 7 || tag == 8 || tag == 9 || tag == 10; }
 
 // Rebuild pipeline phases charged as exactly one task per worker
-// (Engine::charge_rebuild_phase), regardless of chunks_per_thread.
-bool is_per_worker_phase(int tag) { return tag >= 8; }
+// (Engine::charge_rebuild_phase), regardless of chunks_per_thread: bin,
+// nbr-prefix and morton-sort.
+bool is_per_worker_phase(int tag) { return tag == 8 || tag == 9 || tag == 10; }
 
 struct Bracket {
   int tag = 0;
@@ -157,26 +160,12 @@ RunProfile Planner::profile_from(const TraceSnapshot& trace, const PmuReport& pm
       b.begin = m.event.begin;
       b.end = m.event.end;
       brackets.push_back(b);
-    } else if (m.event.kind == TraceKind::SimStep) {
+    } else if (m.event.kind == TraceKind::Step) {
       steps.push_back({m.event.begin, m.event.end, false});
     }
   }
   std::sort(brackets.begin(), brackets.end(),
             [](const Bracket& a, const Bracket& b) { return a.begin < b.begin; });
-  if (steps.empty()) {
-    // Native traces carry no step events; synthesize step windows from the
-    // predictor phase, which opens every step.
-    for (std::size_t i = 0; i < brackets.size(); ++i) {
-      if (brackets[i].tag != 1) continue;
-      const double end = [&] {
-        for (std::size_t j = i + 1; j < brackets.size(); ++j) {
-          if (brackets[j].tag == 1) return brackets[j].begin;
-        }
-        return brackets.empty() ? 0.0 : brackets.back().end;
-      }();
-      steps.push_back({brackets[i].begin, end, false});
-    }
-  }
   std::sort(steps.begin(), steps.end(),
             [](const StepWindow& a, const StepWindow& b) { return a.begin < b.begin; });
 

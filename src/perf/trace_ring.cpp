@@ -19,7 +19,7 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::Task: return "task";
     case TraceKind::Steal: return "steal";
     case TraceKind::Quiesce: return "quiesce";
-    case TraceKind::SimStep: return "sim_step";
+    case TraceKind::Step: return "step";
   }
   return "unknown";
 }

@@ -41,7 +41,7 @@ enum class TraceKind : std::uint8_t {
   Task = 1,     // one task executed by a worker
   Steal = 2,    // successful steal (zero duration; arg = victim lane)
   Quiesce = 3,  // a quiesce() wait: begin = entry, end = pool drained
-  SimStep = 4,  // one simulated-backend timestep (simulated seconds)
+  Step = 4,     // one engine timestep (ring clock, or simulated seconds)
 };
 
 [[nodiscard]] const char* trace_kind_name(TraceKind kind);

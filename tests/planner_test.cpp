@@ -101,10 +101,19 @@ TEST(PlannerTest, ProfileReconstructsPhaseDag) {
   EXPECT_GT(profile.self_parallelism(), 1.0);
 
   // The per-step pipeline phases, split by step class where both occur.
-  for (int tag : {md::kPhasePredictor, md::kPhaseForces, md::kPhaseReduce,
-                  md::kPhaseCorrector}) {
+  for (int tag : {md::kPhaseForces, md::kPhaseReduceCorrectPredict}) {
     EXPECT_NE(profile.find(tag, false), nullptr) << "tag " << tag;
   }
+  // One run_simulated call: predict-check opens it on the list-building
+  // first step, and reduce-correct closes it.
+  const PhaseProfile* open = profile.find(md::kPhasePredictCheck, true);
+  ASSERT_NE(open, nullptr);
+  EXPECT_EQ(open->occurrences, 1);
+  EXPECT_EQ(profile.find(md::kPhasePredictCheck, false), nullptr);
+  const PhaseProfile* close = profile.find(md::kPhaseReduceCorrect, false);
+  if (close == nullptr) close = profile.find(md::kPhaseReduceCorrect, true);
+  ASSERT_NE(close, nullptr);
+  EXPECT_EQ(close->occurrences, 1);
   // The PR 6 overlap phase and PR 9 parallel-rebuild phases only exist on
   // rebuild steps.
   for (int tag : {md::kPhaseOverlap, md::kPhaseBin, md::kPhaseNbrPrefix}) {
@@ -155,9 +164,14 @@ TEST(PlannerTest, LappedTraceStillProfilesFromPmuTotals) {
 
   const PhaseProfile* forces = profile.find(md::kPhaseForces, false);
   ASSERT_NE(forces, nullptr);
-  // Occurrence counts are scaled from the observed window to the full run.
-  EXPECT_GE(forces->occurrences, steps / 2);
-  EXPECT_LE(forces->occurrences, 2 * steps);
+  // Occurrence counts are scaled from the observed window to the full run:
+  // one forces phase per step over both step classes.  Al-1000 rebuilds
+  // every other step, so the plain class gets about half, give or take the
+  // one step by which the window's rebuild/plain mix can miss an even split.
+  const PhaseProfile* forces_rb = profile.find(md::kPhaseForces, true);
+  ASSERT_NE(forces_rb, nullptr);
+  EXPECT_NEAR(forces->occurrences + forces_rb->occurrences, steps, 1);
+  EXPECT_NEAR(forces->occurrences, steps / 2, steps / 8);
   // Work totals come from the PMU (exact); only the split between the
   // rebuild/non-rebuild classes leans on the surviving window's bracket
   // durations, so the class totals track the unlapped profile's within the
@@ -171,7 +185,7 @@ TEST(PlannerTest, LappedTraceStillProfilesFromPmuTotals) {
   EXPECT_NEAR(forces->work_cycles / full_forces->work_cycles, 1.0, 0.25);
 }
 
-TEST(PlannerTest, NativeTraceDegradesToInferredSteps) {
+TEST(PlannerTest, NativeTraceProfilesFromStepBrackets) {
   workloads::BenchmarkSpec spec = workloads::make_al1000();
   md::EngineConfig cfg = spec.engine;
   cfg.n_threads = 2;
@@ -187,12 +201,13 @@ TEST(PlannerTest, NativeTraceDegradesToInferredSteps) {
 
   RunMeta meta;
   meta.benchmark = "Al-1000";
-  meta.steps = 0;  // force inference from the predictor phase brackets
+  meta.steps = 0;  // take the step count from the trace's step brackets
   meta.n_threads = 2;
   meta.slots = engine.n_slots();
   meta.spec = topo::core_i7_920();
   const RunProfile profile = Planner::profile_from(ring.snapshot(), pmu.report(), meta);
-  // No SimStep events natively: step windows are synthesized from tag-1.
+  // The native engine brackets every step on the external lane, as the
+  // simulated backend does.
   EXPECT_EQ(profile.observed_steps, steps);
   EXPECT_EQ(profile.meta.steps, steps);
   EXPECT_NE(profile.find(md::kPhaseForces, false), nullptr);
@@ -211,12 +226,16 @@ TEST(PlannerTest, PhaseTagNamesAreSingleSourced) {
   EXPECT_STREQ(md::phase_tag_name(md::kPhaseForces), "forces");
   EXPECT_STREQ(md::phase_tag_name(md::kPhaseMortonSort), "morton-sort");
   EXPECT_EQ(md::phase_tag_name(md::kNumPhaseTags), nullptr);
-  // Tag 3 is retired: it keeps its slot (no later phase takes its number)
-  // but has no name, so the emitted map skips it.
-  EXPECT_EQ(md::phase_tag_name(3), nullptr);
+  // Retired tags (the CSR count pass, and the predictor, check, reduce and
+  // corrector now fused into 11-13) keep their slots, so no later phase
+  // takes their numbers, but have no name, so the emitted map skips them.
   const auto names = md::phase_tag_name_map();
-  EXPECT_EQ(names.size(), std::size_t(md::kNumPhaseTags - 1));
-  EXPECT_EQ(names.count(3), 0u);
+  for (int tag : {1, 2, 3, 5, 6}) {
+    EXPECT_EQ(md::phase_tag_name(tag), nullptr) << "tag " << tag;
+    EXPECT_EQ(names.count(tag), 0u) << "tag " << tag;
+  }
+  EXPECT_EQ(names.size(), std::size_t(md::kNumPhaseTags - 5));
+  EXPECT_STREQ(md::phase_tag_name(md::kPhaseReduceCorrectPredict), "reduce-correct-predict");
   EXPECT_EQ(names.at(md::kPhaseBin), "bin");
 
   // ...and it rides inside the emitted artifacts.

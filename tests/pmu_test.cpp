@@ -425,7 +425,8 @@ TEST(EnginePmuTest, EnergiesBitIdenticalWithAndWithoutCounters) {
   // And the counters actually attributed work to the engine's phase tags.
   const perf::PmuReport r = acc.report();
   const auto phases = r.phases();
-  for (const int tag : {kPhasePredictor, kPhaseForces, kPhaseCorrector}) {
+  for (const int tag : {kPhasePredictCheck, kPhaseForces, kPhaseReduceCorrectPredict,
+                        kPhaseReduceCorrect}) {
     EXPECT_NE(std::find(phases.begin(), phases.end(), tag), phases.end())
         << "phase " << tag << " missing from native report";
   }

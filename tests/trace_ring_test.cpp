@@ -184,10 +184,10 @@ TEST(TraceRingTest, NativeEngineEmitsPhaseBracketsAndTasks) {
       EXPECT_LT(m.lane, 2);
     }
   }
-  // Five dispatched phases per step (predictor, check, fused forces, reduce,
-  // corrector) plus the overlap phase (CSR count + non-LJ forces) per
+  // One predict-check opening the call, then forces and a fused integrate
+  // phase per step, plus the overlap phase (CSR count + non-LJ forces) per
   // rebuild step, each bracketing at least one task per worker chain.
-  EXPECT_EQ(phases, 2 * 5 + engine.rebuild_count());
+  EXPECT_EQ(phases, 1 + 2 * 2 + engine.rebuild_count());
   EXPECT_GT(tasks, phases);
 }
 
@@ -211,7 +211,7 @@ TEST(TraceRingTest, SimulatedBackendEmitsComparableTrace) {
   for (const auto& m : snap.events) {
     if (m.event.kind == TraceKind::Phase) ++phases;
     if (m.event.kind == TraceKind::Task) ++tasks;
-    if (m.event.kind == TraceKind::SimStep) {
+    if (m.event.kind == TraceKind::Step) {
       ++steps;
       EXPECT_EQ(m.lane, ring.external_lane());
       EXPECT_GE(m.event.begin, last_step_end);
@@ -219,10 +219,11 @@ TEST(TraceRingTest, SimulatedBackendEmitsComparableTrace) {
     }
   }
   EXPECT_EQ(steps, 2);
-  // Five dispatched phases per step, plus three per rebuild step: the
-  // overlap phase (CSR count + non-LJ forces) and the bin and prefix-scan
-  // phases the simulator times as parallel work.
-  EXPECT_EQ(phases, 2 * 5 + 3 * engine.rebuild_count());
+  // The native schedule (one predict-check, then forces and integrate per
+  // step), plus three per rebuild step: the overlap phase (CSR count +
+  // non-LJ forces) and the bin and prefix-scan phases the simulator times as
+  // parallel work.
+  EXPECT_EQ(phases, 1 + 2 * 2 + 3 * engine.rebuild_count());
   EXPECT_GT(tasks, 0);
   // Simulated timestamps line up with the machine clock.
   EXPECT_NEAR(last_step_end, machine.now_seconds(), 1e-12);
@@ -262,7 +263,7 @@ TEST(TraceRingTest, RebuildPhasesLapSmallRingWithoutCorruption) {
   double newest_end = 0.0;
   for (const auto& m : snap.events) {
     // Survivors are fully-formed: valid kind, causal interval, known lane.
-    EXPECT_LE(static_cast<int>(m.event.kind), static_cast<int>(TraceKind::SimStep));
+    EXPECT_LE(static_cast<int>(m.event.kind), static_cast<int>(TraceKind::Step));
     EXPECT_GE(m.event.end, m.event.begin);
     EXPECT_GE(m.event.begin, 0.0);
     EXPECT_LT(m.lane, 3);

@@ -209,11 +209,12 @@ TEST(TracedMachineTest, EventLogTagsMatchPhases) {
   for (int t = 0; t < 2; ++t) {
     for (const auto& e : machine.event_log().events_of(t)) tags.insert(e.tag);
   }
-  EXPECT_TRUE(tags.count(kPhasePredictor));
-  EXPECT_TRUE(tags.count(kPhaseCheck));
+  // A two-step call: predict-check opens it, the first step's integrate
+  // phase predicts the second, and reduce-correct closes it.
+  EXPECT_TRUE(tags.count(kPhasePredictCheck));
   EXPECT_TRUE(tags.count(kPhaseForces));
-  EXPECT_TRUE(tags.count(kPhaseReduce));
-  EXPECT_TRUE(tags.count(kPhaseCorrector));
+  EXPECT_TRUE(tags.count(kPhaseReduceCorrectPredict));
+  EXPECT_TRUE(tags.count(kPhaseReduceCorrect));
 }
 
 }  // namespace
