@@ -55,7 +55,6 @@ AuditRun run_native(Mode mode, int steps, mwx::perf::TraceRing* export_ring = nu
   engine.run_native(pool, 5);  // warmup before attaching instrumentation
   if (mode == Mode::TraceRing) {
     engine.attach_trace(ring);
-    pool.attach_trace(ring);
   } else if (mode == Mode::Jamon) {
     engine.attach_monitor(&monitor);
   }

@@ -4,12 +4,13 @@
 # 100k-atom rebuild emitters and of the repository benchmark (bench/e2e);
 # the forced-scalar preset's full suite; the tsan preset's concurrency suites
 # (StealDeque/ThreadPool/TaskQueue/QueueModes/Latch/Barrier/TraceRing/
-# JobHandle/Reentrancy/Serve/SceneCache/RebuildParallel/StepPipeline), which
-# pin the lock-free executor paths, the idempotent-shutdown fix, the trace
-# ring's merge-at-read protocol, the re-entrant shared-pool/serve stack, the
-# chunked rebuild pipeline and the fused, pipelined step phases; and the
-# asan preset's kernel/force/engine/reduction/rebuild/locality/scene/
-# executor/step-pipeline suites.
+# JobHandle/ForChunks/Reentrancy/Serve/SceneCache/RebuildParallel/
+# StepPipeline), which pin the lock-free executor paths, the
+# idempotent-shutdown fix, the trace ring's merge-at-read protocol, the
+# chunked fan-out, the re-entrant shared-pool/serve stack, the chunked
+# rebuild pipeline and the fused, pipelined step phases; and the asan
+# preset's kernel/force/engine/reduction/rebuild/locality/scene/executor/
+# chunked-fan-out/step-pipeline suites.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -255,8 +256,9 @@ echo "== asan: kernel/force/engine/locality/scene/executor suites (asan preset) 
 # read past a row, a buffer or a lane mask's intent fails here.  The
 # SparseReduce and RebuildParallel suites run the reduction at 300 slots and
 # the chunked rebuild passes down to empty and single-atom inputs.  The
-# ThreadPool/JobHandle/TaskQueue/Reentrancy suites run the executor's
-# spin-then-park waits and the shared-pool stack under the same checks.
+# ThreadPool/JobHandle/TaskQueue/ForChunks/Reentrancy suites run the
+# executor's spin-then-park waits, the chunked fan-out and the shared-pool
+# stack under the same checks.
 cmake --preset asan
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
 ctest --preset asan -j "${jobs}"

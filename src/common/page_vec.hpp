@@ -6,9 +6,9 @@
 // first-touch kernel every page of a freshly grown array is homed on the
 // master's node no matter which worker later owns it.  PageVec allocates
 // raw storage with ::operator new and leaves it uninitialized on request
-// (resize_uninitialized), so the *first write* — which the engine's
-// placement pass issues from the worker that owns the block — is what homes
-// each page.  Outside that one difference it behaves like a small subset of
+// (resize_uninitialized), so the *first write* — the neighbor list's
+// parallel fill pass, each worker writing its own rows — is what homes each
+// page.  Outside that one difference it behaves like a small subset of
 // std::vector (push_back, operator[], data, iteration, copy/move).
 //
 // Only trivially copyable T are supported: growth and copies use memcpy and

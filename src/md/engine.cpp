@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "md/morton.hpp"
-#include "parallel/latch.hpp"
 
 namespace mwx::md {
 
@@ -52,7 +50,6 @@ Engine::Engine(MolecularSystem sys, EngineConfig config)
 }
 
 int Engine::compute_neighbor_capacity(const MolecularSystem& sys, const EngineConfig& config) {
-  if (config.neighbor_capacity > 0) return config.neighbor_capacity;
   // Expected half-list row count: atoms inside the list-radius sphere at the
   // system's mean density, halved because a pair is stored on its lower
   // index.  Doubled for local density fluctuations (surfaces, clusters), then
@@ -519,76 +516,19 @@ void Engine::run_steps(parallel::FixedThreadPool* pool, sim::Machine* machine, i
   for (int s = 0; s < n_steps; ++s) step(pool, machine, s == 0, s == n_steps - 1);
 }
 
-void Engine::place_first_touch(parallel::FixedThreadPool& pool) {
-  // Re-home the hot arrays by first touch: allocate fresh (untouched) pages
-  // and have each worker write the block it will own during the run, so a
-  // first-touch kernel homes those pages on the worker's node.  Values are
-  // copied bit-for-bit — the trajectory cannot change.  Placement is
-  // best-effort: under work stealing a task (and later the chunks
-  // themselves) may migrate, which only costs locality, never correctness.
-  const int n = sys_.n_atoms();
-  const int nt = config_.n_threads;
-  // On a shared pool the engine's logical workers fold onto the pool's
-  // actual workers; placement quality degrades gracefully, correctness
-  // (a bit-for-bit copy) never depends on the mapping.
-  const int pw = pool.n_threads();
-
-  // Per-atom state: worker w rewrites the same contiguous 1/N block the
-  // static atom-phase split assigns it.
-  auto repack = [&](PageVec<Vec3>& v) {
-    PageVec<Vec3> fresh;
-    fresh.resize_uninitialized(v.size());
-    parallel::JobHandle job;
-    for (int w = 0; w < nt; ++w) {
-      pool.submit_to(w % pw, [&, w] {
-        const int b = static_cast<int>((static_cast<long long>(n) * w) / nt);
-        const int e = static_cast<int>((static_cast<long long>(n) * (w + 1)) / nt);
-        if (e > b) {
-          std::memcpy(fresh.data() + b, v.data() + b,
-                      static_cast<std::size_t>(e - b) * sizeof(Vec3));
-        }
-      }, job);
-    }
-    job.wait();
-    v = std::move(fresh);
-  };
-  repack(sys_.positions());
-  repack(sys_.velocities());
-  repack(sys_.accelerations());
-
-  // Private force buffers: each slot's full-length array is rewritten (to
-  // its required all-+0.0 state) by the worker that seeds that slot's task
-  // chains.  Only valid between steps, when the buffers are drained.
-  std::vector<PageVec<Vec3>> slots(static_cast<std::size_t>(n_slots_));
-  parallel::JobHandle slot_job;
-  for (int slot = 0; slot < n_slots_; ++slot) {
-    slots[static_cast<std::size_t>(slot)].resize_uninitialized(static_cast<std::size_t>(n));
-    pool.submit_to(slot % pw, [&slots, slot, n] {
-      std::fill_n(slots[static_cast<std::size_t>(slot)].data(), n, Vec3{});
-    }, slot_job);
-  }
-  slot_job.wait();
-  for (int slot = 0; slot < n_slots_; ++slot) {
-    buffers_.slot_array(slot) = std::move(slots[static_cast<std::size_t>(slot)]);
-  }
-}
-
 void Engine::run_native(parallel::FixedThreadPool& pool, int n_steps) {
   // Any pool size works (the decomposition and the energy bits are fixed by
   // config.n_threads, not by the executor) — but per-engine instrumentation
-  // records into lane == executing *pool* worker, so attached rings and
-  // accumulators must cover the pool actually used, which the attach-time
-  // check against config.n_threads cannot see.
+  // records into lane == executing *pool* worker, so attached rings,
+  // accumulators and logs must cover the pool actually used.  These are the
+  // engine's only lane checks: config.n_threads says nothing about which
+  // lanes get written.
   require(native_trace_ == nullptr || native_trace_->n_lanes() >= pool.n_threads() + 1,
           "trace ring needs a lane per pool worker plus one external lane");
   require(native_pmu_ == nullptr || native_pmu_->n_workers() >= pool.n_threads(),
           "PMU accumulator needs a lane per pool worker");
   require(native_log_ == nullptr || native_log_->n_threads() >= pool.n_threads(),
           "event log needs a lane per pool worker");
-  if (config_.first_touch && !placed_) {
-    place_first_touch(pool);
-    placed_ = true;
-  }
   run_steps(&pool, nullptr, n_steps);
 }
 

@@ -63,15 +63,6 @@ struct EngineConfig {
   double dt_fs = 2.0;
   double cutoff = 8.0;  // Å
   double skin = 0.9;    // Å
-  // Width of the modelled Java int[n][cap] neighbor table (allocation-tracker
-  // and heap-region accounting only — the engine itself stores neighbors in a
-  // compacted CSR list sized to the actual pair count).  0 (the default)
-  // derives the width from the system's measured density: twice the expected
-  // half-list row count within the list radius, clamped to [64, 2048].  The
-  // old fixed 384 both overstated sparse gases ~10x and would understate a
-  // dense bulk crystal; a positive value here forces that width.
-  int neighbor_capacity = 0;
-
   HeapConfig heap{};  // layout model for the simulated backend
   TemporariesMode temporaries = TemporariesMode::JavaStyle;
   CostTable costs{};
@@ -92,13 +83,6 @@ struct EngineConfig {
   // the native wall clock and the simulated address stream see the packed
   // layout.  0 disables the pass (the seed-identical default).
   int reorder_interval = 0;
-
-  // First-touch NUMA placement (native backend only): before the first step,
-  // re-home the hot per-atom arrays and each accumulation slot's private
-  // force buffer by rewriting them from the worker that owns the
-  // corresponding static chunk/slot.  Pure page movement — values are copied
-  // bit-for-bit, so trajectories are unchanged.
-  bool first_touch = false;
 };
 
 // Phase identifiers used as event-log tags.
@@ -182,8 +166,11 @@ class Engine {
   // bit-identical: per-buffer floating-point accumulation order never
   // depends on which worker ran the chain.
   [[nodiscard]] int n_slots() const { return n_slots_; }
-  // The neighbor-table width actually used for heap/tracker accounting:
-  // config.neighbor_capacity if positive, else the density-derived width.
+  // Width of the modelled Java int[n][cap] neighbor table (allocation-tracker
+  // and heap-region accounting only — the engine itself stores neighbors in a
+  // compacted CSR list sized to the actual pair count), derived from the
+  // system's density: twice the expected half-list row count within the
+  // list radius, clamped to [64, 2048].
   [[nodiscard]] int neighbor_capacity() const { return neighbor_capacity_; }
   [[nodiscard]] long long rebuild_count() const { return nlist_.rebuild_count(); }
   [[nodiscard]] const NeighborList& neighbor_list() const { return nlist_; }
@@ -194,36 +181,27 @@ class Engine {
   // Optional native-mode instrumentation.
   void attach_monitor(perf::JamonMonitor* monitor) { native_monitor_ = monitor; }
   void attach_event_log(perf::EventLog* log) { native_log_ = log; }
+  // The engine is the one layer that brackets tasks: the pool only
+  // schedules and counts completion.  Lane counts are checked in
+  // run_native(), against the pool actually used — only its workers (and
+  // the external lane) are ever written, whatever config.n_threads says.
+  //
   // Lock-free trace layer (the corrected Section IV-A design): workers
   // record Task events into lane == worker index, the master records Phase
-  // brackets into the external lane.  The ring needs one lane per worker of
-  // the pool the engine will run on, plus one external lane — re-checked
-  // against the actual pool in run_native(), since a shared pool may be
-  // larger than config.n_threads.  Per-engine, so N engines sharing a pool
-  // each carry their own ring (the ownership fix: instrumentation is no
-  // longer a single pool-global pointer).  When
-  // monitor_updates_per_task > 0 the engine emits that many records per task
-  // — the same call-tree depth knob the JaMON path uses — so the self-audit
-  // bench can compare the two layers at identical event rates.
-  void attach_trace(perf::TraceRing* trace) {
-    require(trace == nullptr || trace->n_lanes() >= config_.n_threads + 1,
-            "trace ring needs a lane per worker plus one external lane");
-    native_trace_ = trace;
-  }
+  // and Step brackets into the external lane.  The ring needs one lane per
+  // pool worker plus one external lane.  Per-engine, so N engines sharing a
+  // pool each carry their own ring.  When monitor_updates_per_task > 0 the
+  // engine emits that many records per task — the same call-tree depth knob
+  // the JaMON path uses — so the self-audit bench can compare the two
+  // layers at identical event rates.
+  void attach_trace(perf::TraceRing* trace) { native_trace_ = trace; }
   // Native hardware-counter provider: each task chain is bracketed with
   // per-thread counter reads and the delta charged to (worker, phase tag) —
   // the native twin of the simulator's per-core per-phase attribution.
   // Counter reads happen strictly outside run_task(), so attaching a PMU
-  // cannot perturb the physics (energies stay bit-identical).  Per-engine
-  // (needs one lane per worker of the pool, re-checked in run_native());
-  // attach either here or at the pool (FixedThreadPool::attach_pmu), not
-  // both with the same accumulator: the pool's untagged brackets would
-  // double-count the engine's phase-tagged ones.
-  void attach_pmu(perf::PmuAccumulator* pmu) {
-    require(pmu == nullptr || pmu->n_workers() >= config_.n_threads,
-            "PMU accumulator needs a lane per worker");
-    native_pmu_ = pmu;
-  }
+  // cannot perturb the physics (energies stay bit-identical).  Needs one
+  // lane per pool worker.
+  void attach_pmu(perf::PmuAccumulator* pmu) { native_pmu_ = pmu; }
 
  private:
   // PredictCheck, ReduceCorrect and ReduceCorrectPredict each run their
@@ -280,7 +258,6 @@ class Engine {
                             long long n_items, double per_item2 = 0.0,
                             long long n_items2 = 0);
   void pack_charges();
-  void place_first_touch(parallel::FixedThreadPool& pool);
 
   MolecularSystem sys_;
   EngineConfig config_;
@@ -297,7 +274,6 @@ class Engine {
   sim::PhaseWork phase_work_;
   std::atomic<bool> rebuild_flag_{false};
   bool rebuild_now_ = false;
-  bool placed_ = false;  // first-touch placement pass already ran
   double last_pe_ = 0.0;
   double last_ke_ = 0.0;
   long long steps_done_ = 0;

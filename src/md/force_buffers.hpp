@@ -73,13 +73,6 @@ class ForceBuffers {
     return force_[static_cast<std::size_t>(worker)][static_cast<std::size_t>(atom)];
   }
 
-  // Whole-slot access for the first-touch placement pass, which replaces a
-  // slot's backing pages with ones homed on the owning worker's node.  Only
-  // valid between steps, when every entry is +0.0 and no marks are set.
-  [[nodiscard]] PageVec<Vec3>& slot_array(int worker) {
-    return force_[static_cast<std::size_t>(worker)];
-  }
-
   [[nodiscard]] bool block_touched(int worker, int block) const {
     return touched_[static_cast<std::size_t>(worker) * touched_stride_ +
                     static_cast<std::size_t>(block)] != 0;
@@ -149,8 +142,7 @@ class ForceBuffers {
   int n_atoms_;
   int n_blocks_;
   std::size_t touched_stride_;
-  // One PageVec per slot (not vector<vector>) so the placement pass can swap
-  // in freshly homed pages per slot without disturbing the others.
+  // One array per slot, each written only by its own task chain.
   std::vector<PageVec<Vec3>> force_;
   std::vector<std::uint8_t> touched_;
   std::vector<PaddedTally> pe_;

@@ -46,8 +46,8 @@ class MolecularSystem {
   [[nodiscard]] const Box& box() const { return box_; }
   [[nodiscard]] const AtomTypeTable& types() const { return types_; }
 
-  // Hot per-atom state lives in PageVec so a NUMA placement pass can re-home
-  // the backing pages by first touch (see Engine::place_first_touch).
+  // Hot per-atom state lives in PageVec (common/page_vec.hpp).  NUMA
+  // placement is modelled, not performed: see HeapModel::configure_numa.
   [[nodiscard]] const PageVec<Vec3>& positions() const { return pos_; }
   [[nodiscard]] PageVec<Vec3>& positions() { return pos_; }
   [[nodiscard]] const PageVec<Vec3>& velocities() const { return vel_; }

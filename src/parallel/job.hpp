@@ -19,11 +19,10 @@
 // everything submitted *so far* has finished, and more work may be
 // submitted afterwards.
 //
-// Instrumentation is per-job rather than pool-global: attach_trace/
-// attach_pmu on the handle bracket exactly the tasks submitted with it, so
-// N jobs sharing one pool can each carry their own rings/accumulators (the
-// pool-level attach remains for whole-pool audits, but is no longer the
-// only owner).  Attach before the first submission with the handle.
+// A handle tracks completion and failure only.  Trace and counter brackets
+// belong to the client that knows what a task means: md::Engine brackets
+// its own task chains under its phase tags, so the executor never charges
+// untagged time to a worker.
 //
 // wait() follows the pool's spin-then-park policy (parallel/spin_wait.hpp):
 // it spins on an atomic pending count before parking on the monitor, so the
@@ -38,8 +37,6 @@
 #include <string>
 
 #include "parallel/spin_wait.hpp"
-#include "perf/native_pmu.hpp"
-#include "perf/trace_ring.hpp"
 
 namespace mwx::parallel {
 
@@ -61,11 +58,6 @@ struct JobState {
   long long failed = 0;
   std::atomic<long long> pending{0};
   std::string first_error;  // message of the first task that threw
-  // Per-job instrumentation (optional).  Wrapped tasks bracket themselves
-  // with these, independent of any pool-level attachment.
-  perf::TraceRing* trace = nullptr;
-  perf::PmuAccumulator* pmu = nullptr;
-  int tag = 0;  // phase tag charged by the brackets above
 
   void on_submit() {
     std::lock_guard lock(mutex);
@@ -139,22 +131,6 @@ class JobHandle {
   [[nodiscard]] std::string error() const {
     std::lock_guard lock(state_->mutex);
     return state_->first_error;
-  }
-
-  // Per-job instrumentation: tasks submitted with this handle record Task
-  // events into lane == executing worker (external lane when run inline)
-  // and/or bracket themselves with PMU counter reads charged to
-  // (worker, tag).  The ring/accumulator must be sized for the *pool* the
-  // job runs on (n_threads + 1 lanes / n_threads workers) — checked at
-  // submission.  Attach before the first submission; detach (nullptr) only
-  // after wait().
-  void attach_trace(perf::TraceRing* trace, int tag = 0) {
-    state_->trace = trace;
-    state_->tag = tag;
-  }
-  void attach_pmu(perf::PmuAccumulator* pmu, int tag = 0) {
-    state_->pmu = pmu;
-    state_->tag = tag;
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "parallel/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <memory>
@@ -56,33 +55,21 @@ void FixedThreadPool::submit(Task task) {
 
 namespace {
 // Wraps a task so its completion (and any failure, message included) is
-// recorded on the job, and so the job's per-job instrumentation brackets the
-// execution.  The exception is rethrown after the job is updated, so the
-// pool-level accounting in run_one (failed_, last_error_) still sees it.
+// recorded on the job.  The exception is rethrown after the job is updated,
+// so the pool-level accounting in run_one (failed_, last_error_) still sees
+// it.
 Task wrap_for_job(std::shared_ptr<detail::JobState> state, Task task) {
   return [state = std::move(state), task = std::move(task)] {
-    perf::TraceRing* trace = state->trace;
-    const double trace_begin = trace != nullptr ? trace->now() : 0.0;
-    if (state->pmu != nullptr) state->pmu->task_begin();
-    std::exception_ptr eptr;
-    std::string message;
     try {
       task();
     } catch (const std::exception& e) {
-      eptr = std::current_exception();
-      message = e.what();
+      state->finish(e.what());
+      throw;
     } catch (...) {
-      eptr = std::current_exception();
-      message = "unknown exception";
+      state->finish("unknown exception");
+      throw;
     }
-    const int worker = FixedThreadPool::current_worker();
-    if (trace != nullptr) {
-      const int lane = worker >= 0 ? worker : trace->external_lane();
-      trace->record(lane, perf::TraceKind::Task, state->tag, trace_begin, trace->now());
-    }
-    if (state->pmu != nullptr) state->pmu->task_end(std::max(0, worker), state->tag);
-    state->finish(eptr ? message.c_str() : nullptr);
-    if (eptr) std::rethrow_exception(eptr);
+    state->finish(nullptr);
   };
 }
 }  // namespace
@@ -100,13 +87,6 @@ void FixedThreadPool::submit(Task task, const JobHandle& job) {
 
 void FixedThreadPool::submit_to(int worker, Task task, const JobHandle& job) {
   require(job.state_ != nullptr, "job handle is empty");
-  // The job's instrumentation runs on whichever worker executes the task, so
-  // it must be sized for this pool — same contract as the pool-level attach.
-  require(job.state_->trace == nullptr ||
-              job.state_->trace->n_lanes() >= config_.n_threads + 1,
-          "job trace ring needs a lane per pool worker plus one external lane");
-  require(job.state_->pmu == nullptr || job.state_->pmu->n_workers() >= config_.n_threads,
-          "job PMU accumulator needs a lane per pool worker");
   job.state_->on_submit();
   try {
     submit_to(worker, wrap_for_job(job.state_, std::move(task)));
@@ -150,10 +130,6 @@ void FixedThreadPool::enqueue(int worker, Task task) {
 }
 
 void FixedThreadPool::run_one(Task task) {
-  perf::TraceRing* trace = trace_.load(std::memory_order_acquire);
-  perf::PmuAccumulator* pmu = pmu_.load(std::memory_order_acquire);
-  const double trace_begin = trace != nullptr ? trace->now() : 0.0;
-  if (pmu != nullptr) pmu->task_begin();
   try {
     task();
   } catch (const std::exception& e) {
@@ -164,11 +140,6 @@ void FixedThreadPool::run_one(Task task) {
   } catch (...) {
     note_failure("unknown exception");
   }
-  if (trace != nullptr) {
-    trace->record(t_worker_index, perf::TraceKind::Task, /*tag=*/0, trace_begin,
-                  trace->now());
-  }
-  if (pmu != nullptr) pmu->task_end(t_worker_index, /*phase_tag=*/0);
   completed_.fetch_add(1, std::memory_order_release);
   // Lock-then-notify so a quiescing thread between its predicate check and
   // wait() cannot miss the wakeup.
@@ -220,14 +191,7 @@ void FixedThreadPool::worker_main_stealing(int index) {
         const std::size_t victim = static_cast<std::size_t>((index + k) % n);
         task = deques_[victim]->steal();
         if (!task) task = queues_[victim]->try_pop();
-        if (task) {
-          steals_.fetch_add(1, std::memory_order_relaxed);
-          if (perf::TraceRing* trace = trace_.load(std::memory_order_acquire)) {
-            const double now = trace->now();
-            trace->record(index, perf::TraceKind::Steal, /*tag=*/0, now, now,
-                          static_cast<int>(victim));
-          }
-        }
+        if (task) steals_.fetch_add(1, std::memory_order_relaxed);
       }
     }
     if (task) {
@@ -255,20 +219,13 @@ void FixedThreadPool::worker_main_stealing(int index) {
 }
 
 void FixedThreadPool::quiesce() {
-  perf::TraceRing* trace = trace_.load(std::memory_order_acquire);
-  const double trace_begin = trace != nullptr ? trace->now() : 0.0;
   const auto drained = [this] {
     return completed_.load(std::memory_order_acquire) ==
            submitted_.load(std::memory_order_acquire);
   };
-  if (!spin_until(drained)) {
-    std::unique_lock lock(quiesce_mutex_);
-    quiesce_cv_.wait(lock, drained);
-  }
-  if (trace != nullptr) {
-    const int lane = t_worker_pool == this ? t_worker_index : trace->external_lane();
-    trace->record(lane, perf::TraceKind::Quiesce, /*tag=*/0, trace_begin, trace->now());
-  }
+  if (spin_until(drained)) return;
+  std::unique_lock lock(quiesce_mutex_);
+  quiesce_cv_.wait(lock, drained);
 }
 
 void FixedThreadPool::shutdown() {

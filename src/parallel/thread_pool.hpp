@@ -32,6 +32,10 @@
 // JobHandle (parallel/job.hpp) — quiesce() remains the single-owner drain.
 // A worker of pool A submitting to pool B is treated as an external caller
 // by B (per-pool thread-locals), so pools compose.
+//
+// The pool schedules and counts; it does not instrument.  Task brackets
+// (trace events, counter reads) are the client's: md::Engine records its
+// task chains under its own phase tags.
 #pragma once
 
 #include <atomic>
@@ -45,11 +49,8 @@
 
 #include "parallel/affinity.hpp"
 #include "parallel/job.hpp"
-#include "parallel/latch.hpp"
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
-#include "perf/native_pmu.hpp"
-#include "perf/trace_ring.hpp"
 #include "topo/cpuset.hpp"
 
 namespace mwx::parallel {
@@ -93,46 +94,10 @@ class FixedThreadPool {
   // job.wait() terminates when that job's tasks are done — even while other
   // clients keep the pool busy — and a task that throws records its message
   // on the handle (and in last_error()) instead of vanishing into a counter.
-  // If the job carries instrumentation (JobHandle::attach_trace/attach_pmu)
-  // the task brackets itself with it, independent of any pool-level
-  // attachment.  These are what make the pool safely shareable between
-  // concurrent engines/tenants.
+  // These are what make the pool safely shareable between concurrent
+  // engines/tenants.
   void submit(Task task, const JobHandle& job);
   void submit_to(int worker, Task task, const JobHandle& job);
-
-  // Runs body(i) for i in [0, n) split into one contiguous chunk per worker
-  // — the paper's "each thread is assigned a fraction 1/N of the total
-  // atoms" distribution — and blocks until all chunks finish.
-  // `body` must be callable as body(int begin, int end, int worker).
-  template <typename Body>
-  void run_chunked(int n, Body&& body) {
-    const int workers = config_.n_threads;
-    CountDownLatch latch(workers);
-    for (int w = 0; w < workers; ++w) {
-      const int begin = static_cast<int>((static_cast<long long>(n) * w) / workers);
-      const int end = static_cast<int>((static_cast<long long>(n) * (w + 1)) / workers);
-      submit_to(w, [&, begin, end, w] {
-        body(begin, end, w);
-        latch.count_down();
-      });
-    }
-    latch.await();
-  }
-
-  // Job-scoped variant: chunks are tracked by `job` (shared-pool safe, and a
-  // throwing chunk is recorded instead of hanging the barrier).  Blocks via
-  // job.wait(), so any *other* tasks already pending on the same handle are
-  // waited for too.
-  template <typename Body>
-  void run_chunked(int n, Body&& body, const JobHandle& job) {
-    const int workers = config_.n_threads;
-    for (int w = 0; w < workers; ++w) {
-      const int begin = static_cast<int>((static_cast<long long>(n) * w) / workers);
-      const int end = static_cast<int>((static_cast<long long>(n) * (w + 1)) / workers);
-      submit_to(w, [&body, begin, end, w] { body(begin, end, w); }, job);
-    }
-    job.wait();
-  }
 
   // Blocks until every queued task has completed (workers stay alive).
   // Pool-global: this counts *all* clients' submissions, so with another
@@ -175,34 +140,6 @@ class FixedThreadPool {
   // Successful steals performed by pool workers (WorkStealing mode only).
   [[nodiscard]] long long steals() const { return steals_.load(std::memory_order_relaxed); }
 
-  // Attaches a pool-wide lock-free trace ring: workers record Task events
-  // into lane == worker index and Steal/Quiesce events as they happen.  The
-  // ring needs n_threads + 1 lanes (the extra one for external callers).
-  // This is a whole-pool audit channel (it sees every client's tasks); a
-  // single tenant sharing the pool should attach its ring to its JobHandle
-  // (or its Engine) instead.  The pointer is atomic, so attaching/detaching
-  // while other clients run is safe — but detach (nullptr) only after *your*
-  // submitted work has drained, or your last events are dropped.
-  void attach_trace(perf::TraceRing* trace) {
-    require(trace == nullptr || trace->n_lanes() >= config_.n_threads + 1,
-            "trace ring needs a lane per worker plus one external lane");
-    trace_.store(trace, std::memory_order_release);
-  }
-
-  // Attaches a pool-wide hardware-counter accumulator: every executed task is
-  // bracketed with per-thread counter reads and the delta charged to
-  // (worker, tag 0) — untagged pool work, *all* clients included.  Needs one
-  // lane per worker.  For phase-tagged or per-tenant attribution attach the
-  // accumulator at the engine (Engine::attach_pmu) or the job
-  // (JobHandle::attach_pmu) instead; never both levels with the same
-  // accumulator, or the pool's untagged brackets double-count the tagged
-  // ones.  Atomic pointer — same attach/detach rules as attach_trace().
-  void attach_pmu(perf::PmuAccumulator* pmu) {
-    require(pmu == nullptr || pmu->n_workers() >= config_.n_threads,
-            "PMU accumulator needs a lane per worker");
-    pmu_.store(pmu, std::memory_order_release);
-  }
-
  private:
   void worker_main(int index);
   void worker_main_stealing(int index);
@@ -237,11 +174,6 @@ class FixedThreadPool {
   // until the workers are actually joined before returning.
   std::atomic<bool> shutdown_{false};
   std::mutex shutdown_mutex_;
-  // Pool-wide instrumentation.  Atomic: with N clients sharing the pool,
-  // attach/detach must not race task execution into UB (per-job channels
-  // live on the JobHandle instead).
-  std::atomic<perf::TraceRing*> trace_{nullptr};
-  std::atomic<perf::PmuAccumulator*> pmu_{nullptr};
   // First task-exception message (see last_error()).
   mutable std::mutex error_mutex_;
   std::string last_error_;

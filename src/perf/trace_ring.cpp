@@ -18,7 +18,6 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::Phase: return "phase";
     case TraceKind::Task: return "task";
     case TraceKind::Steal: return "steal";
-    case TraceKind::Quiesce: return "quiesce";
     case TraceKind::Step: return "step";
   }
   return "unknown";

@@ -20,7 +20,7 @@
 // snapshot copy is race-free by construction (validated under TSan); torn
 // values are impossible and stale slots are rejected by the sequence check.
 // By convention lane i belongs to worker i and the last lane to the
-// master/external thread (phase brackets, quiesce, sim steps).
+// master/external thread (phase and step brackets).
 #pragma once
 
 #include <atomic>
@@ -39,8 +39,8 @@ namespace mwx::perf {
 enum class TraceKind : std::uint8_t {
   Phase = 0,    // one engine phase: begin = dispatch, end = barrier release
   Task = 1,     // one task executed by a worker
-  Steal = 2,    // successful steal (zero duration; arg = victim lane)
-  Quiesce = 3,  // a quiesce() wait: begin = entry, end = pool drained
+  Steal = 2,    // simulated steal (zero duration; arg = victim lane)
+  // 3 is retired (pool quiesce waits); artifacts key on the numbers.
   Step = 4,     // one engine timestep (ring clock, or simulated seconds)
 };
 

@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "parallel/affinity.hpp"
 #include "parallel/barrier.hpp"
+#include "parallel/chunked.hpp"
 #include "parallel/latch.hpp"
 #include "parallel/task_queue.hpp"
 #include "parallel/thread_pool.hpp"
@@ -196,24 +199,66 @@ TEST(ThreadPoolTest, CurrentWorkerOutsidePoolIsMinusOne) {
   EXPECT_EQ(FixedThreadPool::current_worker(), -1);
 }
 
-TEST(ThreadPoolTest, RunChunkedCoversRangeExactlyOnce) {
-  FixedThreadPool pool({.n_threads = 4});
-  constexpr int kN = 1003;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.run_chunked(kN, [&](int b, int e, int) {
-    for (int i = b; i < e; ++i) ++hits[static_cast<std::size_t>(i)];
-  });
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[static_cast<std::size_t>(i)].load(), 1);
+// --- for_chunks: the chunked fan-out of the rebuild pipeline ---------------
+
+TEST(ForChunks, CoversEveryIndexExactlyOnce) {
+  FixedThreadPool pool({.n_threads = 4, .queue_mode = QueueMode::WorkStealing});
+  for (const long long n : {0LL, 1LL, 3LL, 1003LL}) {
+    for (const int chunks : {1, 3, 8}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      std::atomic<int> calls{0};
+      for_chunks(&pool, chunks, n, [&](int c, long long begin, long long end) {
+        EXPECT_EQ(begin, n * c / std::min<long long>(chunks, n));
+        for (long long i = begin; i < end; ++i) ++hits[static_cast<std::size_t>(i)];
+        ++calls;
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n=" << n << " chunks=" << chunks;
+      // Never more chunks than items, and none at all for an empty range.
+      EXPECT_EQ(calls.load(), static_cast<int>(std::min<long long>(chunks, n)));
+    }
+  }
 }
 
-TEST(ThreadPoolTest, RunChunkedPassesWorkerIds) {
+TEST(ForChunks, ChunkGoesToWorkerChunkModuloPoolWidth) {
+  // PerThread queues run a task on the worker it was submitted to, so the
+  // executing worker is the placement for_chunks chose.
   FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::PerThread});
-  std::vector<int> worker_of_chunk(3, -1);
-  pool.run_chunked(3, [&](int b, int, int w) { worker_of_chunk[static_cast<std::size_t>(b)] = w; });
-  // With 3 items and 3 workers each worker gets exactly one unit chunk.
-  std::vector<int> sorted = worker_of_chunk;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2}));
+  std::vector<int> worker_of_chunk(8, -2);
+  for_chunks(&pool, 8, 800, [&](int c, long long, long long) {
+    worker_of_chunk[static_cast<std::size_t>(c)] = FixedThreadPool::current_worker();
+  });
+  for (int c = 0; c < 8; ++c) EXPECT_EQ(worker_of_chunk[static_cast<std::size_t>(c)], c % 3);
+}
+
+TEST(ForChunks, NullPoolRunsInlineInChunkOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  long long covered = 0;
+  for_chunks(nullptr, 3, 10, [&](int c, long long begin, long long end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(FixedThreadPool::current_worker(), -1);
+    EXPECT_EQ(begin, covered);
+    covered = end;
+    order.push_back(c);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(covered, 10);
+}
+
+TEST(ForChunks, ThrowingChunkSurfacesAsContractErrorWithItsMessage) {
+  FixedThreadPool pool({.n_threads = 2});
+  std::atomic<int> ran{0};
+  try {
+    for_chunks(&pool, 4, 100, [&](int c, long long, long long) {
+      ++ran;
+      if (c == 2) throw std::runtime_error("chunk two broke");
+    });
+    FAIL() << "a throwing chunk must not be swallowed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("chunk two broke"), std::string::npos) << e.what();
+  }
+  // The barrier waited for every chunk, the failing one included.
+  EXPECT_EQ(ran.load(), 4);
 }
 
 TEST(ThreadPoolTest, SubmitToOutOfRangeThrows) {
@@ -520,20 +565,6 @@ TEST(JobHandleTest, WaitTerminatesWhileAnotherClientKeepsSubmitting) {
   churn.store(false);
   churner.join();
   pool.quiesce();
-}
-
-TEST(JobHandleTest, RunChunkedJobOverloadCoversRange) {
-  FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::PerThread});
-  JobHandle job;
-  std::vector<std::atomic<int>> hits(100);
-  pool.run_chunked(
-      100, [&](int begin, int end, int) {
-        for (int i = begin; i < end; ++i) ++hits[static_cast<std::size_t>(i)];
-      },
-      job);
-  EXPECT_TRUE(job.ok());
-  EXPECT_EQ(job.completed(), 3);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // Pools compose: a worker of pool A submitting a job to pool B and waiting

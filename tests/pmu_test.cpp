@@ -1,11 +1,13 @@
 // Tests of the unified PMU layer: CounterSet/PmuReport vocabulary, the sim
 // provider's per-core/per-phase attribution and its conservation law, the
-// native perf_event/fallback provider, the engine/pool wiring (including the
-// "counters must not perturb physics" guarantee), and the SamplingProfiler.
+// native perf_event/fallback provider, the engine wiring (including the
+// "counters must not perturb physics" guarantee and the lane checks against
+// the pool actually used), and the SamplingProfiler.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -368,25 +370,6 @@ TEST(PmuAccumulatorTest, OutOfRangePhaseTagsFoldIntoLastSlot) {
   EXPECT_THROW(acc.task_end(5, 0), ContractError);
 }
 
-TEST(PoolPmuTest, BracketsEveryTask) {
-  PmuAccumulator acc(2);
-  parallel::FixedThreadPool pool({.n_threads = 2});
-  pool.attach_pmu(&acc);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  pool.quiesce();
-  pool.attach_pmu(nullptr);
-  EXPECT_EQ(ran.load(), 20);
-  // Pool tasks are untagged (phase 0) and must all be counted.
-  EXPECT_DOUBLE_EQ(acc.report().phase_total(0)[Counter::kTasks], 20.0);
-
-  parallel::FixedThreadPool small({.n_threads = 3});
-  PmuAccumulator narrow(2);
-  EXPECT_THROW(small.attach_pmu(&narrow), ContractError);
-}
-
 }  // namespace
 }  // namespace mwx::perf
 
@@ -434,12 +417,59 @@ TEST(EnginePmuTest, EnergiesBitIdenticalWithAndWithoutCounters) {
   EXPECT_GT(r.total()[perf::Counter::kCpuNanos], 0.0);
 }
 
+// The lane check lives in run_native(), against the pool actually used:
+// a 2-lane accumulator on a 4-worker pool is rejected there.
 TEST(EnginePmuTest, RejectsUndersizedAccumulator) {
   auto sys = workloads::make_lj_gas(50, 0.01, 100.0, 1);
   Engine eng(std::move(sys), engine_config(4));
   perf::PmuAccumulator narrow(2);
-  EXPECT_THROW(eng.attach_pmu(&narrow), ContractError);
+  eng.attach_pmu(&narrow);
+  parallel::FixedThreadPool pool({.n_threads = 4});
+  EXPECT_THROW(eng.run_native(pool, 1), ContractError);
   eng.attach_pmu(nullptr);  // detaching is always fine
+  eng.run_native(pool, 1);
+}
+
+// Instrumentation is written into lanes of the pool's workers (plus the
+// external lane), never into lanes named by config.n_threads.  A 4-thread
+// engine on a 2-worker pool therefore needs a 3-lane ring and a 2-lane
+// accumulator, and must accept them; the same attachments on a 4-worker
+// pool are rejected before any step runs.
+TEST(EngineLanesTest, InstrumentationSizedForPoolNotForEngineThreads) {
+  const auto run = [](perf::TraceRing* ring, perf::PmuAccumulator* acc, int pool_workers) {
+    Engine eng(workloads::make_lj_gas(150, 0.012, 120.0, 17), engine_config(4));
+    eng.attach_trace(ring);
+    eng.attach_pmu(acc);
+    parallel::FixedThreadPool pool(
+        {.n_threads = pool_workers, .queue_mode = parallel::QueueMode::PerThread});
+    eng.run_native(pool, 8);
+    return std::pair{eng.potential_energy(), eng.kinetic_energy()};
+  };
+
+  const auto [pe_plain, ke_plain] = run(nullptr, nullptr, 2);
+  perf::TraceRing ring(3, 1 << 12);
+  perf::PmuAccumulator acc(2);
+  std::pair<double, double> counted{};
+  ASSERT_NO_THROW(counted = run(&ring, &acc, 2));
+  EXPECT_EQ(std::memcmp(&pe_plain, &counted.first, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&ke_plain, &counted.second, sizeof(double)), 0);
+
+  const perf::TraceSnapshot snap = ring.snapshot();
+  long long tasks = 0;
+  for (const auto& m : snap.events) {
+    if (m.event.kind == perf::TraceKind::Task) {
+      ++tasks;
+      EXPECT_LT(m.lane, 2);
+    }
+  }
+  EXPECT_GT(tasks, 0);
+  EXPECT_GT(acc.report().phase_total(kPhaseForces)[perf::Counter::kTasks], 0.0);
+
+  perf::TraceRing narrow_ring(3, 1 << 12);
+  perf::PmuAccumulator narrow_acc(2);
+  EXPECT_THROW(run(&narrow_ring, nullptr, 4), ContractError);
+  EXPECT_THROW(run(nullptr, &narrow_acc, 4), ContractError);
+  EXPECT_EQ(narrow_ring.total_records(), 0u);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 //  * the overlapped rebuild schedule — native runs bitwise equal to the
 //    inline reference across worker counts and queue disciplines
 //    (accumulation-slot serial chains);
-//  * first-touch placement — pure page movement, energies unchanged;
 //  * density-derived neighbor capacity — covers the measured max CSR row on
 //    both a sparse gas and a dense bulk crystal, and the heap-model regions
 //    sized from it do not alias;
@@ -287,16 +286,6 @@ TEST(OverlapRebuild, BitIdenticalAcrossWorkersAndDisciplines) {
   }
 }
 
-TEST(FirstTouch, PlacementPreservesBits) {
-  const int steps = 12;
-  md::EngineConfig cfg = overlap_config(4, sim::Assignment::WorkStealing);
-  cfg.first_touch = false;
-  const double before = run_native_energy(cfg, steps, nullptr);
-  cfg.first_touch = true;
-  const double after = run_native_energy(cfg, steps, nullptr);
-  EXPECT_TRUE(bits_eq(before, after));
-}
-
 // --- Density-derived neighbor capacity --------------------------------------
 
 int max_row_count(const md::Engine& engine) {
@@ -338,13 +327,6 @@ TEST(NeighborCapacity, DerivedWidthCoversDenseBulkCrystal) {
       static_cast<std::uint64_t>(engine.system().n_atoms()) *
       static_cast<std::uint64_t>(heap.neighbor_entries_per_atom());
   EXPECT_LE(heap.neighbor_entry_addr(n_entries - 1) + 4, heap.cell_entry_addr(0));
-}
-
-TEST(NeighborCapacity, ExplicitOverrideStillWins) {
-  md::EngineConfig cfg;
-  cfg.neighbor_capacity = 200;
-  md::Engine engine(workloads::make_lj_gas(64, 0.002, 120.0, 5), cfg);
-  EXPECT_EQ(engine.neighbor_capacity(), 200);
 }
 
 // --- HeapModel NUMA directory ------------------------------------------------
