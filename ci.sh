@@ -5,12 +5,13 @@
 # the forced-scalar preset's full suite; the tsan preset's concurrency suites
 # (StealDeque/ThreadPool/TaskQueue/QueueModes/Latch/Barrier/TraceRing/
 # JobHandle/ForChunks/Reentrancy/Serve/SceneCache/RebuildParallel/
-# StepPipeline), which pin the lock-free executor paths, the
+# StepPipeline/NeighborBuild), which pin the lock-free executor paths, the
 # idempotent-shutdown fix, the trace ring's merge-at-read protocol, the
 # chunked fan-out, the re-entrant shared-pool/serve stack, the chunked
-# rebuild pipeline and the fused, pipelined step phases; and the asan
-# preset's kernel/force/engine/reduction/rebuild/locality/scene/executor/
-# chunked-fan-out/step-pipeline suites.
+# rebuild pipeline, the fused, pipelined step phases and the per-chunk
+# neighbor-row stashes; and the asan preset's kernel/force/engine/reduction/
+# rebuild/locality/scene/executor/chunked-fan-out/step-pipeline/
+# neighbor-build suites.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -258,7 +259,8 @@ echo "== asan: kernel/force/engine/locality/scene/executor suites (asan preset) 
 # the chunked rebuild passes down to empty and single-atom inputs.  The
 # ThreadPool/JobHandle/TaskQueue/ForChunks/Reentrancy suites run the
 # executor's spin-then-park waits, the chunked fan-out and the shared-pool
-# stack under the same checks.
+# stack under the same checks.  NeighborBuild runs the count kernel's stash
+# appends (including growth from empty) and the fill's row copies.
 cmake --preset asan
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
 ctest --preset asan -j "${jobs}"

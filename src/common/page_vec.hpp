@@ -66,6 +66,7 @@ class PageVec {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   [[nodiscard]] T* data() { return data_; }
@@ -90,6 +91,19 @@ class PageVec {
     if (size_ > 0) std::memcpy(fresh, data_, size_ * sizeof(T));
     ::operator delete(static_cast<void*>(data_));
     data_ = fresh;
+    cap_ = n;
+  }
+
+  // Drops the contents and makes room for n elements.  Unlike reserve() it
+  // copies nothing and frees the old block before allocating the new one, so
+  // a grown array whose old contents are dead never holds both blocks.
+  void discard_and_reserve(std::size_t n) {
+    size_ = 0;
+    if (n <= cap_) return;
+    ::operator delete(static_cast<void*>(data_));
+    data_ = nullptr;
+    cap_ = 0;
+    data_ = static_cast<T*>(::operator new(n * sizeof(T)));
     cap_ = n;
   }
 

@@ -145,4 +145,17 @@ int CellGrid::neighbor_cells(int c, int out[27]) const {
   return n;
 }
 
+int CellGrid::upper_neighbor_cells(int c, int i, int out[27]) const {
+  const int nc = neighbor_cells(c, out);
+  int n = 0;
+  for (int k = 0; k < nc; ++k) {
+    const std::size_t cell = static_cast<std::size_t>(out[k]);
+    const int end = start_[cell + 1];
+    if (end > start_[cell] && occupants_[static_cast<std::size_t>(end) - 1] > i) {
+      out[n++] = out[k];
+    }
+  }
+  return n;
+}
+
 }  // namespace mwx::md

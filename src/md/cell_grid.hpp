@@ -54,6 +54,11 @@ class CellGrid {
   // The (up to 27) cell ids adjacent to cell c, including c itself, written
   // into `out`; returns how many.
   int neighbor_cells(int c, int out[27]) const;
+  // The cells of neighbor_cells(c), in the same order, that hold some atom
+  // with index > i — the cells a half-list scan for atom i must visit.
+  // Occupants ascend, so an empty cell or one whose last occupant is <= i is
+  // dropped whole.
+  int upper_neighbor_cells(int c, int i, int out[27]) const;
 
   // Total occupant entries (== number of binned atoms).
   [[nodiscard]] std::size_t n_binned() const { return occupants_.size(); }

@@ -47,6 +47,7 @@ Engine::Engine(MolecularSystem sys, EngineConfig config)
           static_cast<std::size_t>(sys_.n_atoms()) * 24,
       /*transient_type=*/false);
   tracker_.on_alloc(priv_type, 0);
+  stash_.resize(triangular_tasks(Kind::NeighborCount, sys_.n_atoms()).size());
 }
 
 int Engine::compute_neighbor_capacity(const MolecularSystem& sys, const EngineConfig& config) {
@@ -84,101 +85,51 @@ void Engine::chunk_range(int n, int n_chunks, std::vector<std::pair<int, int>>& 
   }
 }
 
-std::vector<Engine::TaskDesc> Engine::atom_phase_tasks(Kind kind) const {
-  std::vector<TaskDesc> tasks;
+std::vector<Engine::TaskDesc> Engine::contiguous_tasks(Kind kind, int n) const {
+  // Uniform-cost domains: index-contiguous chunks, owners round-robin so
+  // every thread gets a slice of every kind (the paper's per-phase 1/N split).
   std::vector<std::pair<int, int>> ranges;
-  chunk_range(sys_.n_atoms(), config_.n_threads * config_.chunks_per_thread, ranges);
+  chunk_range(n, config_.n_threads * config_.chunks_per_thread, ranges);
+  std::vector<TaskDesc> tasks;
   tasks.reserve(ranges.size());
-  int idx = 0;
-  for (auto [b, e] : ranges) tasks.push_back({kind, b, e, idx++ % n_slots_});
-  return tasks;
-}
-
-std::vector<Engine::TaskDesc> Engine::neighbor_count_tasks() const {
-  // Mirrors the FusedLj decomposition so the count pass sees the same
-  // per-chunk balance as the fill it precedes.
-  std::vector<TaskDesc> tasks;
-  const int n_chunks = config_.n_threads * config_.chunks_per_thread;
-  if (config_.assignment == sim::Assignment::WorkStealing) {
-    std::vector<std::pair<int, int>> ranges;
-    chunk_range(sys_.n_atoms(), n_chunks, ranges);
-    int c = 0;
-    for (auto [b, e] : ranges)
-      tasks.push_back({Kind::NeighborCount, b, e, c++ % n_slots_, 1});
-  } else {
-    const int k = std::min(n_chunks, sys_.n_atoms());
-    for (int c = 0; c < k; ++c) {
-      tasks.push_back({Kind::NeighborCount, c, sys_.n_atoms(), c % n_slots_, k});
-    }
+  int c = 0;
+  for (auto [b, e] : ranges) {
+    tasks.push_back({kind, b, e, c % n_slots_, 1, c});
+    ++c;
   }
   return tasks;
 }
 
-std::vector<Engine::TaskDesc> Engine::forces_lj_tasks() const {
-  // LJ and Coulomb domains have index-correlated (triangular) per-item cost
-  // because the lower-indexed atom of a pair does the work.  Under the
-  // static disciplines a cyclic decomposition gives each chunk the same
-  // expected load.  Under work stealing the scheduler rebalances the
-  // triangle dynamically, so we use contiguous chunks instead: their scatter
-  // footprint is block-local, which is what makes the sparse reduction skip
-  // most (slot, block) pairs.
+std::vector<Engine::TaskDesc> Engine::triangular_tasks(Kind kind, int n) const {
+  // The LJ, Coulomb and neighbor-count domains have index-correlated
+  // (triangular) per-item cost because the lower-indexed atom of a pair does
+  // the work.  Under the static disciplines a cyclic decomposition gives each
+  // chunk the same expected load.  Under work stealing the scheduler
+  // rebalances the triangle dynamically, so we use contiguous chunks
+  // instead: their scatter footprint is block-local, which is what makes the
+  // sparse reduction skip most (slot, block) pairs.  Task c of one kind walks
+  // the same items in the same order as task c of another over the same n —
+  // the count task that stashes rows and the fill task that copies them.
+  if (config_.assignment == sim::Assignment::WorkStealing) return contiguous_tasks(kind, n);
+  const int k = std::min(config_.n_threads * config_.chunks_per_thread, n);
   std::vector<TaskDesc> tasks;
-  const int n_chunks = config_.n_threads * config_.chunks_per_thread;
-  if (sys_.n_atoms() > 0) {
-    if (config_.assignment == sim::Assignment::WorkStealing) {
-      std::vector<std::pair<int, int>> ranges;
-      chunk_range(sys_.n_atoms(), n_chunks, ranges);
-      int c = 0;
-      for (auto [b, e] : ranges)
-        tasks.push_back({Kind::FusedLj, b, e, c++ % n_slots_, 1});
-    } else {
-      const int k = std::min(n_chunks, sys_.n_atoms());
-      for (int c = 0; c < k; ++c) {
-        tasks.push_back({Kind::FusedLj, c, sys_.n_atoms(), c % n_slots_, k});
-      }
-    }
-  }
+  tasks.reserve(static_cast<std::size_t>(k));
+  for (int c = 0; c < k; ++c) tasks.push_back({kind, c, n, c % n_slots_, k, c});
   return tasks;
 }
 
 std::vector<Engine::TaskDesc> Engine::forces_aux_tasks() const {
   // Everything in phase 4 except LJ: Coulomb chunks over the charged list
-  // and bonded chunks over each bond list.  Owners round-robin within each
-  // kind so every thread gets a slice of every force type (the paper's
-  // per-phase 1/N split).  None of these touch the neighbor list, which is
-  // what lets the overlapped schedule run them during the CSR count pass.
-  std::vector<TaskDesc> tasks;
-  std::vector<std::pair<int, int>> ranges;
-  const int n_chunks = config_.n_threads * config_.chunks_per_thread;
-
-  if (sys_.n_charged() > 0) {
-    if (config_.assignment == sim::Assignment::WorkStealing) {
-      chunk_range(sys_.n_charged(), n_chunks, ranges);
-      int c = 0;
-      for (auto [b, e] : ranges)
-        tasks.push_back({Kind::Coulomb, b, e, c++ % n_slots_, 1});
-    } else {
-      const int k = std::min(n_chunks, sys_.n_charged());
-      for (int c = 0; c < k; ++c) {
-        tasks.push_back({Kind::Coulomb, c, sys_.n_charged(), c % n_slots_, k});
-      }
-    }
+  // and bonded chunks over each bond list.  None of these touch the neighbor
+  // list, which is what lets the overlapped schedule run them during the CSR
+  // count pass.
+  std::vector<TaskDesc> tasks = triangular_tasks(Kind::Coulomb, sys_.n_charged());
+  for (const auto& [kind, n] : {std::pair{Kind::RadialBonds, sys_.radial_bonds().size()},
+                                std::pair{Kind::AngularBonds, sys_.angular_bonds().size()},
+                                std::pair{Kind::TorsionBonds, sys_.torsion_bonds().size()}}) {
+    const std::vector<TaskDesc> bonds = contiguous_tasks(kind, static_cast<int>(n));
+    tasks.insert(tasks.end(), bonds.begin(), bonds.end());
   }
-
-  chunk_range(static_cast<int>(sys_.radial_bonds().size()), n_chunks, ranges);
-  int idx = 0;
-  for (auto [b, e] : ranges)
-    tasks.push_back({Kind::RadialBonds, b, e, idx++ % n_slots_});
-
-  chunk_range(static_cast<int>(sys_.angular_bonds().size()), n_chunks, ranges);
-  idx = 0;
-  for (auto [b, e] : ranges)
-    tasks.push_back({Kind::AngularBonds, b, e, idx++ % n_slots_});
-
-  chunk_range(static_cast<int>(sys_.torsion_bonds().size()), n_chunks, ranges);
-  idx = 0;
-  for (auto [b, e] : ranges)
-    tasks.push_back({Kind::TorsionBonds, b, e, idx++ % n_slots_});
   return tasks;
 }
 
@@ -188,7 +139,7 @@ std::vector<Engine::TaskDesc> Engine::forces_phase_tasks() const {
   // (aux in kPhaseOverlap, LJ in kPhaseForces), so rebuild and plain steps
   // accumulate every buffer in the same floating-point order.
   std::vector<TaskDesc> tasks = forces_aux_tasks();
-  const std::vector<TaskDesc> lj = forces_lj_tasks();
+  const std::vector<TaskDesc> lj = triangular_tasks(Kind::FusedLj, sys_.n_atoms());
   tasks.insert(tasks.end(), lj.begin(), lj.end());
   return tasks;
 }
@@ -212,11 +163,13 @@ void Engine::run_task(const TaskDesc& t, int buffer, Mem& mem) {
       }
       break;
     case Kind::NeighborCount:
-      neighbor_count_chunk(sys_, grid_, nlist_, config_.costs, t.begin, t.end, t.stride, mem);
+      neighbor_count_chunk(sys_, grid_, nlist_, config_.costs, t.begin, t.end, t.stride,
+                           stash_[static_cast<std::size_t>(t.chunk)].rows, mem);
       break;
     case Kind::FusedLj:
       fused_neighbors_lj_chunk(sys_, grid_, nlist_, lj_, config_.costs, rebuild_now_,
-                               buffers_, buffer, t.begin, t.end, t.stride, mem);
+                               stash_[static_cast<std::size_t>(t.chunk)].rows, buffers_, buffer,
+                               t.begin, t.end, t.stride, mem);
       break;
     case Kind::Coulomb:
       coulomb_chunk(sys_, config_.costs, packed_charges_, buffers_, buffer, t.begin, t.end,
@@ -394,11 +347,12 @@ void Engine::master_rebuild_prologue(parallel::FixedThreadPool* pool,
     const std::vector<int> order = morton_order(sys_.positions(), sys_.box().lo,
                                                 sys_.box().hi, config_.cutoff + config_.skin,
                                                 pool, chunks);
-    sys_.permute(order);
+    sys_.permute(order, pool, chunks);
     heap_.permute_objects(order);
     if (machine != nullptr) {
-      // Key build + radix passes fan out; the state permutation itself
-      // stays a serial master gather (it is in the native path too).
+      // Key build + radix passes fan out.  The state permutation is charged
+      // as the serial lump it was in the paper-era engine; the native gather
+      // fans out too, but Fig. 1 and Table III keep their calibration.
       charge_rebuild_phase(machine, kPhaseMortonSort, config_.costs.morton_sort_atom, n);
       machine->run_serial(config_.costs.reorder_atom * sys_.n_atoms());
     }
@@ -422,6 +376,22 @@ void Engine::master_rebuild_prologue(parallel::FixedThreadPool* pool,
   charge_rebuild_phase(machine, kPhaseBin,
                        config_.costs.bin_count_atom + config_.costs.bin_scatter_atom, n,
                        config_.costs.bin_merge_cell, grid_.n_cells());
+}
+
+void Engine::size_row_stash(const std::vector<TaskDesc>& count_tasks) {
+  // The master sizes every chunk's stash before the count pass, so workers
+  // append into blocks it allocated and grow one only on overflow: a worker
+  // thread's first allocation opens a malloc arena of its own.  The first
+  // rebuild reserves the modelled Java table's row width per atom; later
+  // ones the previous rebuild's row total plus an eighth.  Only the
+  // reservation is made here — the appending worker touches the pages.
+  for (const TaskDesc& t : count_tasks) {
+    PageVec<int>& rows = stash_[static_cast<std::size_t>(t.chunk)].rows;
+    const std::size_t atoms =
+        static_cast<std::size_t>((t.end - t.begin + t.stride - 1) / t.stride);
+    rows.discard_and_reserve(rows.empty() ? atoms * static_cast<std::size_t>(neighbor_capacity_)
+                                          : rows.size() + rows.size() / 8);
+  }
 }
 
 void Engine::pack_charges() {
@@ -449,7 +419,8 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine, bool f
   // predicted and checked by the previous step's integrate phase.
   if (first) {
     rebuild_flag_.store(!nlist_.ever_built(), std::memory_order_relaxed);
-    exec_phase(pool, machine, kPhasePredictCheck, atom_phase_tasks(Kind::PredictCheck));
+    exec_phase(pool, machine, kPhasePredictCheck,
+               contiguous_tasks(Kind::PredictCheck, sys_.n_atoms()));
   }
   rebuild_now_ = rebuild_flag_.load(std::memory_order_relaxed);
 
@@ -462,7 +433,8 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine, bool f
   if (rebuild_now_) {
     master_rebuild_prologue(pool, machine);
     pack_charges();
-    std::vector<TaskDesc> fused = neighbor_count_tasks();
+    std::vector<TaskDesc> fused = triangular_tasks(Kind::NeighborCount, sys_.n_atoms());
+    if (machine == nullptr) size_row_stash(fused);
     const std::vector<TaskDesc> aux = forces_aux_tasks();
     fused.insert(fused.end(), aux.begin(), aux.end());
     exec_phase(pool, machine, kPhaseOverlap, fused);
@@ -471,7 +443,7 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine, bool f
     nlist_.finalize_offsets(pool, config_.n_threads);
     charge_rebuild_phase(machine, kPhaseNbrPrefix, config_.costs.nbr_prefix_atom,
                          sys_.n_atoms());
-    exec_phase(pool, machine, kPhaseForces, forces_lj_tasks());
+    exec_phase(pool, machine, kPhaseForces, triangular_tasks(Kind::FusedLj, sys_.n_atoms()));
   } else {
     pack_charges();
     exec_phase(pool, machine, kPhaseForces, forces_phase_tasks());
@@ -486,11 +458,12 @@ void Engine::step(parallel::FixedThreadPool* pool, sim::Machine* machine, bool f
   // tasks: chunk bounds need not fall on kBlockAtoms boundaries, and a task
   // clearing a block it shares would race its neighbour's read of the mark.
   if (last) {
-    exec_phase(pool, machine, kPhaseReduceCorrect, atom_phase_tasks(Kind::ReduceCorrect));
+    exec_phase(pool, machine, kPhaseReduceCorrect,
+               contiguous_tasks(Kind::ReduceCorrect, sys_.n_atoms()));
   } else {
     rebuild_flag_.store(false, std::memory_order_relaxed);
     exec_phase(pool, machine, kPhaseReduceCorrectPredict,
-               atom_phase_tasks(Kind::ReduceCorrectPredict));
+               contiguous_tasks(Kind::ReduceCorrectPredict, sys_.n_atoms()));
   }
   buffers_.clear_touched();
   last_ke_ = buffers_.drain_ke();
@@ -545,7 +518,9 @@ void Engine::compute_forces_only() {
   master_rebuild_prologue(nullptr, nullptr);
   pack_charges();
   NullMem mem;
-  for (const TaskDesc& t : neighbor_count_tasks()) run_task(t, t.owner, mem);
+  const std::vector<TaskDesc> count = triangular_tasks(Kind::NeighborCount, sys_.n_atoms());
+  size_row_stash(count);
+  for (const TaskDesc& t : count) run_task(t, t.owner, mem);
   nlist_.finalize_offsets();
   for (const TaskDesc& t : forces_phase_tasks()) run_task(t, t.owner, mem);
   nlist_.end_rebuild();

@@ -220,18 +220,25 @@ class Engine {
     // decomposition so every chunk carries the same expected work — the
     // balance MW's 1/N split needs to reach the paper's salt speedup.
     int stride = 1;
+    // Position among its kind's tasks.  A NeighborCount task appends its
+    // rows to stash_[chunk]; the FusedLj task with the same chunk walks the
+    // same atoms in the same order and copies them out.
+    int chunk = 0;
   };
 
-  [[nodiscard]] std::vector<TaskDesc> atom_phase_tasks(Kind kind) const;
+  // Chunks of [0, n) for one kind: index-contiguous (uniform-cost domains),
+  // or — triangular_tasks — cyclic under the static disciplines for the
+  // pair domains (LJ, Coulomb, neighbor count) and contiguous under work
+  // stealing.
+  [[nodiscard]] std::vector<TaskDesc> contiguous_tasks(Kind kind, int n) const;
+  [[nodiscard]] std::vector<TaskDesc> triangular_tasks(Kind kind, int n) const;
   // The force phase is split in two so a rebuild step can run the aux kinds
   // (Coulomb + bonds) alongside the neighbor count while only the LJ fill
   // waits on the prefix scan.  forces_phase_tasks() is the concatenation
   // aux-then-LJ — the canonical per-slot accumulation order both step kinds
   // reproduce.
   [[nodiscard]] std::vector<TaskDesc> forces_aux_tasks() const;
-  [[nodiscard]] std::vector<TaskDesc> forces_lj_tasks() const;
   [[nodiscard]] std::vector<TaskDesc> forces_phase_tasks() const;
-  [[nodiscard]] std::vector<TaskDesc> neighbor_count_tasks() const;
   static void chunk_range(int n, int n_chunks, std::vector<std::pair<int, int>>& out);
   [[nodiscard]] static int compute_slots(const EngineConfig& config);
   [[nodiscard]] static int compute_neighbor_capacity(const MolecularSystem& sys,
@@ -257,6 +264,8 @@ class Engine {
   void charge_rebuild_phase(sim::Machine* machine, int tag, double per_item,
                             long long n_items, double per_item2 = 0.0,
                             long long n_items2 = 0);
+  // Reserves every count chunk's stash on the master (native backends).
+  void size_row_stash(const std::vector<TaskDesc>& count_tasks);
   void pack_charges();
 
   MolecularSystem sys_;
@@ -266,6 +275,13 @@ class Engine {
   HeapModel heap_;
   CellGrid grid_;
   NeighborList nlist_;
+  // One count chunk's accepted rows (native backends; the traced fill
+  // re-scans).  Padded to a cache line so workers appending to neighbouring
+  // chunks never write the same line.
+  struct alignas(64) RowStash {
+    PageVec<int> rows;
+  };
+  std::vector<RowStash> stash_;
   LjTable lj_;
   ForceBuffers buffers_;
   PackedCharges packed_charges_;  // charged-atom SoA for the native Coulomb kernel

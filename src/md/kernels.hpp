@@ -16,6 +16,7 @@
 #include <immintrin.h>
 #endif
 
+#include "common/page_vec.hpp"
 #include "common/units.hpp"
 #include "md/cell_grid.hpp"
 #include "md/cost_table.hpp"
@@ -83,53 +84,100 @@ bool check_chunk(const MolecularSystem& sys, const NeighborList& nlist, const Co
 
 // ---------------------------------------------------------------------------
 // Phase 3a: neighbor counting — the first step of the compacted CSR rebuild.
-// Each chunk scans its atoms' candidate cells with exactly the acceptance
-// test the fill pass will apply and records only the count; the serial
-// prefix sum (NeighborList::finalize_offsets) then sizes each row exactly.
-// The count depends only on the position snapshot and cell contents, so the
-// resulting offsets are identical for any chunking/worker count.  The scan
-// is modelled as an in-place distance test (no boxed temporaries): counting
-// allocates nothing even in the Java-temporaries mode.
+// Each chunk scans its atoms' candidate cells and records the accepted-
+// neighbor count; the prefix scan (NeighborList::finalize_offsets) then
+// sizes each row exactly.  The count depends only on the position snapshot
+// and cell contents, so the resulting offsets are identical for any
+// chunking/worker count.  The scan is modelled as an in-place distance test
+// (no boxed temporaries): counting allocates nothing even in the
+// Java-temporaries mode.
+//
+// The native count also keeps what it found: it appends each accepted j to
+// `stash`, row after row in its atom order, and the fill of the same chunk
+// copies the rows from there instead of scanning the cells a second time.
+// The traced count stashes nothing — its fill re-scans, because the second
+// scan's cell reads and entry writes are part of the address stream the
+// simulator replays.
 // ---------------------------------------------------------------------------
+
+// Atom i's half-list scan, shared by the count and the traced fill: the
+// candidate cells in neighbor_cells order (minus those holding no j > i),
+// their occupants in ascending order, and the acceptance test — j > i, not
+// two fixed atoms, not bonded, within the list radius.  Calls
+// visit(j, accepted) for every candidate that reaches the distance test, so
+// a caller can act on the outcome without a branch; `temps` temporaries are
+// charged per tested candidate.
+template <typename Mem, typename Visit>
+void scan_candidates(const MolecularSystem& sys, const CellGrid& grid, const CostTable& costs,
+                     double reach2, int i, int temps, Mem& mem, Visit&& visit) {
+  const auto& pos = sys.positions();
+  const Vec3 xi = pos[static_cast<std::size_t>(i)];
+  const bool mi = sys.movable(i);
+  const int* const cell0 = grid.cell_begin(0);
+  int cells[27];
+  const int nc = grid.upper_neighbor_cells(grid.cell_of(xi), i, cells);
+  for (int c = 0; c < nc; ++c) {
+    const int* it = grid.cell_begin(cells[c]);
+    const int* last = grid.cell_end(cells[c]);
+    for (; it != last; ++it) {
+      const int j = *it;
+      if (j <= i) continue;  // half list, stored on the lower index
+      mem.read_cell_entry(static_cast<std::uint64_t>(it - cell0));
+      // Two fixed atoms never interact (nanocar's platform), and directly
+      // bonded pairs are excluded from LJ.
+      if (!mi && !sys.movable(j)) continue;
+      if (sys.excluded(i, j)) continue;
+      mem.read_pos(j);
+      mem.temps(temps);
+      mem.compute(costs.nbr_candidate);
+      visit(j, distance2(xi, pos[static_cast<std::size_t>(j)]) <= reach2);
+    }
+  }
+}
+
 template <typename Mem>
 void neighbor_count_chunk(const MolecularSystem& sys, const CellGrid& grid,
                           NeighborList& nlist, const CostTable& costs, int begin, int end,
-                          int stride, Mem& mem) {
-  const auto& pos = sys.positions();
+                          int stride, PageVec<int>& stash, Mem& mem) {
   const double reach2 = nlist.reach() * nlist.reach();
+  // The stash is appended through locals: every candidate is stored at the
+  // end and kept only if accepted, so the store needs no data-dependent
+  // branch.  A push_back behind the distance test mispredicts; on
+  // droplet200k it made the count ~20 ms per rebuild slower than this.
+  std::size_t len = stash.size();
+  std::size_t cap = stash.capacity();
+  int* rows = stash.data();
   for (int i = begin; i < end; i += stride) {
     mem.read_pos(i);
     mem.read_meta(i);
-    const Vec3 xi = pos[static_cast<std::size_t>(i)];
-    const bool mi = sys.movable(i);
     int count = 0;
-    int cells[27];
-    const int nc = grid.neighbor_cells(grid.cell_of(xi), cells);
-    for (int c = 0; c < nc; ++c) {
-      const int* it = grid.cell_begin(cells[c]);
-      const int* last = grid.cell_end(cells[c]);
-      for (; it != last; ++it) {
-        const int j = *it;
-        if (j <= i) continue;  // half list, stored on the lower index
-        mem.read_cell_entry(static_cast<std::uint64_t>(it - grid.cell_begin(0)));
-        if (!mi && !sys.movable(j)) continue;
-        if (sys.excluded(i, j)) continue;
-        mem.read_pos(j);
-        mem.compute(costs.nbr_candidate);
-        if (distance2(xi, pos[static_cast<std::size_t>(j)]) <= reach2) ++count;
+    scan_candidates(sys, grid, costs, reach2, i, 0, mem, [&](int j, bool accepted) {
+      if constexpr (!Mem::tracing) {
+        if (len == cap) {  // overflow: the worker grows its own stash
+          stash.resize_uninitialized(len);
+          stash.reserve(std::max<std::size_t>(1024, 2 * cap));
+          rows = stash.data();
+          cap = stash.capacity();
+        }
+        rows[len] = j;
+        len += accepted ? 1 : 0;
       }
-    }
+      count += accepted ? 1 : 0;
+    });
     nlist.set_count(i, count);
     mem.compute(costs.nbr_count_store);
   }
+  stash.resize_uninitialized(len);
 }
 
 // ---------------------------------------------------------------------------
 // Phases 3+4 (fused): per atom, optionally fill its (pre-counted, pre-sized)
-// CSR neighbor row from the linked cells, then compute Lennard-Jones forces
-// over the list.  Pair (i, j) is processed by the lower index i — the
+// CSR neighbor row — natively a copy from the stash the same chunk's count
+// filled, traced a re-scan of the linked cells — then compute Lennard-Jones
+// forces over the list.  Pair (i, j) is processed by the lower index i — the
 // paper's convention — with j's share written into this worker's private
-// buffer.
+// buffer.  A chunk's fill must walk exactly the atoms its count walked, in
+// the same order: the stash holds the rows back to back, without offsets.
 //
 // The LJ pass over a row has two implementations with identical bits.
 // lj_row_scalar is the paper's per-pair loop: the traced backend runs it (its
@@ -306,43 +354,29 @@ inline void lj_row_avx2(const MolecularSystem& sys, const NeighborList& nlist, c
 template <typename Mem>
 void fused_neighbors_lj_chunk(const MolecularSystem& sys, const CellGrid& grid,
                               NeighborList& nlist, const LjTable& lj, const CostTable& costs,
-                              bool rebuild, ForceBuffers& buf, int worker, int begin, int end,
-                              int stride, Mem& mem) {
-  const auto& pos = sys.positions();
+                              bool rebuild, const PageVec<int>& stash, ForceBuffers& buf,
+                              int worker, int begin, int end, int stride, Mem& mem) {
   const double reach2 = nlist.reach() * nlist.reach();
+  std::size_t stashed = 0;  // the next row's start in this chunk's stash
 
   for (int i = begin; i < end; i += stride) {
     mem.read_pos(i);
     mem.read_meta(i);
 
     if (rebuild) {
-      const Vec3 xi = pos[static_cast<std::size_t>(i)];
-      const bool mi = sys.movable(i);
-      int k = 0;
-      int cells[27];
-      const int nc = grid.neighbor_cells(grid.cell_of(xi), cells);
-      for (int c = 0; c < nc; ++c) {
-        const int* it = grid.cell_begin(cells[c]);
-        const int* last = grid.cell_end(cells[c]);
-        for (; it != last; ++it) {
-          const int j = *it;
-          if (j <= i) continue;  // half list, stored on the lower index
-          mem.read_cell_entry(static_cast<std::uint64_t>(it - grid.cell_begin(0)));
-
-          // Two fixed atoms never interact (nanocar's platform), and
-          // directly bonded pairs are excluded from LJ.
-          if (!mi && !sys.movable(j)) continue;
-          if (sys.excluded(i, j)) continue;
-          mem.read_pos(j);
-          mem.temps(costs.temps_nbr_candidate);
-          mem.compute(costs.nbr_candidate);
-          if (distance2(xi, pos[static_cast<std::size_t>(j)]) <= reach2) {
-            nlist.add_neighbor(i, j);
-            mem.write_neighbor_entry(nlist.entry_index(i, k));
-            mem.compute(costs.nbr_accept);
-            ++k;
-          }
-        }
+      if constexpr (Mem::tracing) {
+        int k = 0;
+        scan_candidates(sys, grid, costs, reach2, i, costs.temps_nbr_candidate, mem,
+                        [&](int j, bool accepted) {
+          if (!accepted) return;
+          nlist.add_neighbor(i, j);
+          mem.write_neighbor_entry(nlist.entry_index(i, k));
+          mem.compute(costs.nbr_accept);
+          ++k;
+        });
+      } else {
+        nlist.copy_row(i, stash.data() + stashed);
+        stashed += static_cast<std::size_t>(nlist.count(i));
       }
     }
 

@@ -51,10 +51,14 @@ void NeighborList::finalize_offsets(parallel::FixedThreadPool* pool, int n_chunk
   total_ = scan_bases_[static_cast<std::size_t>(chunks)];
   offsets_[n] = total_;
   // Grow-only: steady-state rebuilds reuse the high-water allocation instead
-  // of churning the allocator every few steps.  The grown tail stays
-  // untouched here — the fill pass writes every live entry before any reader
-  // sees it, and writing from the filling worker is what places the pages.
-  if (entries_.size() < total_) entries_.resize_uninitialized(total_);
+  // of churning the allocator every few steps.  Every entry is rewritten by
+  // the fill, so outgrowing the block drops it before allocating the next:
+  // nothing is copied and the two blocks are never resident together.  The
+  // grown block stays untouched here — the fill pass writes every live entry
+  // before any reader sees it, and writing from the filling worker is what
+  // places the pages.
+  if (entries_.capacity() < total_) entries_.discard_and_reserve(total_ + total_ / 4);
+  entries_.resize_uninitialized(total_);
 }
 
 bool NeighborList::chunk_exceeds_skin(std::span<const Vec3> positions, int begin,

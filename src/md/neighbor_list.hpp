@@ -16,18 +16,24 @@
 // a three-step protocol that concurrent chunks can execute without locks:
 //
 //   1. count   — each chunk scans its atoms' candidate cells and records the
-//                accepted-neighbor count via set_count(i, c);
+//                accepted-neighbor count via set_count(i, c); the native
+//                count also appends the accepted j's, row after row, to its
+//                chunk's stash;
 //   2. prefix  — finalize_offsets() (a chunked block scan) turns the counts
-//                into row offsets and sizes the entry array exactly;
-//   3. fill    — each chunk re-scans and appends via add_neighbor(i, j).
+//                into row offsets and sizes the entry array;
+//   3. fill    — natively, each chunk walks the same atoms in the same order
+//                and copies every row from its stash via copy_row(i, src);
+//                the traced backend re-scans the cells and appends via
+//                add_neighbor(i, j), the address stream the simulator replays.
 //
 // Per-atom counts depend only on the snapshot of positions and the cell
 // contents, never on chunk boundaries, so the resulting offsets — and the
-// fill, which writes each row in the same cell-scan order the count used —
-// are byte-identical for any worker count.
+// rows, which both fills write in the cell-scan order the count used — are
+// byte-identical for any worker count and either fill.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -61,6 +67,9 @@ class NeighborList {
   // Barrier between count and fill: prefix-sums the counts into row
   // offsets, sizes the entry array to the exact total, and resets the fill
   // cursors.  total_entries() is finalized here — O(1) to read ever after.
+  // A total past the allocation's capacity drops the stale entries and
+  // regrows with a quarter of headroom, so a list that creeps upward
+  // reallocates O(log) times and never copies dead rows.
   // A two-level block scan: chunks compute local exclusive prefixes and
   // totals, an O(chunks) scan anchors the chunk bases, chunks add their base
   // back (and reset their fill cursors) in a second sweep.  Exact integer
@@ -73,6 +82,13 @@ class NeighborList {
             "neighbor fill exceeded this atom's declared count");
     entries_[offsets_[static_cast<std::size_t>(i)] + static_cast<std::size_t>(cur)] = j;
     ++cur;
+  }
+  // Writes row i whole: its count(i) entries, read from src.
+  void copy_row(int i, const int* src) {
+    const std::size_t n = static_cast<std::size_t>(counts_[static_cast<std::size_t>(i)]);
+    if (n > 0) {
+      std::memcpy(entries_.data() + offsets_[static_cast<std::size_t>(i)], src, n * sizeof(int));
+    }
   }
   void end_rebuild() { ++rebuild_count_; }
 
@@ -111,7 +127,7 @@ class NeighborList {
   // storage untouched through the serial prefix step, so the parallel fill
   // pass — each worker writing its own rows — is what first-touches (and
   // thereby NUMA-homes) the pages.
-  PageVec<int> entries_;              // exactly total_ packed entries
+  PageVec<int> entries_;              // total_ packed entries, capacity grows geometrically
   std::vector<std::size_t> scan_bases_;  // prefix scan: per-chunk totals/bases
   std::size_t total_ = 0;
   std::vector<Vec3> ref_pos_;

@@ -3,18 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
+#include "parallel/chunked.hpp"
+
 namespace mwx::md {
 
 namespace {
 
-// Reorders `v` so the result holds v[new_order[k]] at position k.  Works for
-// std::vector and PageVec alike (both value-construct from a size and move).
-template <typename Container>
-void apply_order(Container& v, const std::vector<int>& new_order) {
-  Container next(v.size());
-  for (std::size_t k = 0; k < new_order.size(); ++k) {
-    next[k] = v[static_cast<std::size_t>(new_order[k])];
-  }
+// v[k] = old v[new_order[k]], gathered over index-contiguous chunks into
+// fresh, uninitialized storage: slot k has exactly one writer, so the result
+// is the inline gather's for any chunk count.  One array at a time, so a
+// permutation holds at most one array twice.
+template <typename T>
+void gather(PageVec<T>& v, const std::vector<int>& new_order, parallel::FixedThreadPool* pool,
+            int n_chunks) {
+  PageVec<T> next;
+  next.resize_uninitialized(v.size());
+  parallel::for_chunks(pool, n_chunks, static_cast<long long>(v.size()),
+                       [&](int, long long b, long long e) {
+    for (long long k = b; k < e; ++k) {
+      next[static_cast<std::size_t>(k)] =
+          v[static_cast<std::size_t>(new_order[static_cast<std::size_t>(k)])];
+    }
+  });
   v = std::move(next);
 }
 
@@ -43,7 +53,8 @@ int MolecularSystem::add_atom(int type, const Vec3& position, const Vec3& veloci
   return i;
 }
 
-void MolecularSystem::permute(const std::vector<int>& new_order) {
+void MolecularSystem::permute(const std::vector<int>& new_order,
+                              parallel::FixedThreadPool* pool, int n_chunks) {
   const int n = n_atoms();
   require(static_cast<int>(new_order.size()) == n, "permutation size mismatch");
   // Build the inverse first — this also validates that new_order is a
@@ -56,18 +67,22 @@ void MolecularSystem::permute(const std::vector<int>& new_order) {
     inverse[static_cast<std::size_t>(old)] = k;
   }
 
-  apply_order(pos_, new_order);
-  apply_order(vel_, new_order);
-  apply_order(acc_, new_order);
-  apply_order(mass_, new_order);
-  apply_order(inv_mass_, new_order);
-  apply_order(charge_, new_order);
-  apply_order(type_, new_order);
-  apply_order(movable_, new_order);
-  apply_order(ext_id_, new_order);
-  for (int i = 0; i < n; ++i) {
-    index_of_ext_[static_cast<std::size_t>(ext_id_[static_cast<std::size_t>(i)])] = i;
-  }
+  gather(pos_, new_order, pool, n_chunks);
+  gather(vel_, new_order, pool, n_chunks);
+  gather(acc_, new_order, pool, n_chunks);
+  gather(mass_, new_order, pool, n_chunks);
+  gather(inv_mass_, new_order, pool, n_chunks);
+  gather(charge_, new_order, pool, n_chunks);
+  gather(type_, new_order, pool, n_chunks);
+  gather(movable_, new_order, pool, n_chunks);
+  gather(ext_id_, new_order, pool, n_chunks);
+  // ext_id_ is a permutation, so the inverse scatter writes each slot once.
+  parallel::for_chunks(pool, n_chunks, n, [&](int, long long b, long long e) {
+    for (long long k = b; k < e; ++k) {
+      index_of_ext_[static_cast<std::size_t>(ext_id_[static_cast<std::size_t>(k)])] =
+          static_cast<int>(k);
+    }
+  });
 
   // The charged list must stay ascending — the Coulomb loop's triangular
   // decomposition and its deterministic accumulation order depend on it.

@@ -15,6 +15,10 @@
 #include "common/vec3.hpp"
 #include "md/types.hpp"
 
+namespace mwx::parallel {
+class FixedThreadPool;
+}  // namespace mwx::parallel
+
 namespace mwx::md {
 
 // Axis-aligned box with reflective walls (Molecular Workbench confines its
@@ -79,7 +83,12 @@ class MolecularSystem {
   // and the charged list are remapped, and exclusions are rebuilt, so the
   // physics is invariant — only the memory order (and thus every raw index)
   // changes.  Throws if new_order is not a permutation of [0, n_atoms).
-  void permute(const std::vector<int>& new_order);
+  // The per-atom gathers fan out over index-contiguous chunks of the new
+  // order (parallel::for_chunks); each destination slot is written once, so
+  // the result does not depend on the pool or chunk count.  A null pool runs
+  // them inline as one chunk.
+  void permute(const std::vector<int>& new_order, parallel::FixedThreadPool* pool = nullptr,
+               int n_chunks = 1);
 
   [[nodiscard]] const std::vector<RadialBond>& radial_bonds() const { return radial_; }
   [[nodiscard]] const std::vector<AngularBond>& angular_bonds() const { return angular_; }
@@ -113,13 +122,15 @@ class MolecularSystem {
   AtomTypeTable types_;
   Box box_;
   std::unordered_set<std::uint64_t> exclusions_;
+  // Every per-atom array is a PageVec, so permute() gathers into storage it
+  // never value-initializes.
   PageVec<Vec3> pos_, vel_, acc_;
-  std::vector<double> mass_, inv_mass_, charge_;
-  std::vector<int> type_;
-  std::vector<char> movable_;
+  PageVec<double> mass_, inv_mass_, charge_;
+  PageVec<int> type_;
+  PageVec<char> movable_;
   std::vector<int> charged_;
-  std::vector<int> ext_id_;        // ext_id_[index] = creation index
-  std::vector<int> index_of_ext_;  // inverse of ext_id_
+  PageVec<int> ext_id_;        // ext_id_[index] = creation index
+  PageVec<int> index_of_ext_;  // inverse of ext_id_
   std::vector<RadialBond> radial_;
   std::vector<AngularBond> angular_;
   std::vector<TorsionBond> torsion_;

@@ -5,7 +5,8 @@
 // chunks, a Morton-ordered droplet, rows of every length mod 4, and the
 // scalar loop's skip semantics (eps == 0, coincident atoms, beyond cutoff,
 // exactly at cutoff, NaN positions), with the row filled in the same call
-// (rebuild) and read from an existing list.
+// (rebuild, copied from the count pass's stash) and read from an existing
+// list.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -69,13 +70,17 @@ LjResult scalar_reference(const MolecularSystem& sys, const NeighborList& nlist,
   return drain(buf, sys.n_atoms());
 }
 
+// With `rebuild`, chunk o fills its rows from stashes[o], the rows the count
+// chunk o kept; without, it reads the finished list.
 LjResult native_chunks(const MolecularSystem& sys, const CellGrid& grid, NeighborList& nlist,
-                       const LjTable& lj, bool rebuild, int stride) {
+                       const LjTable& lj, bool rebuild, int stride,
+                       const std::vector<PageVec<int>>& stashes) {
   const CostTable costs;
   ForceBuffers buf(kSlots, sys.n_atoms());
   NullMem mem;
   for (int o = 0; o < stride; ++o) {
-    fused_neighbors_lj_chunk(sys, grid, nlist, lj, costs, rebuild, buf, kWorker, o,
+    fused_neighbors_lj_chunk(sys, grid, nlist, lj, costs, rebuild,
+                             stashes[static_cast<std::size_t>(o)], buf, kWorker, o,
                              sys.n_atoms(), stride, mem);
   }
   return drain(buf, sys.n_atoms());
@@ -93,13 +98,17 @@ void expect_native_matches_scalar(const MolecularSystem& sys, double cutoff, dou
   nlist.begin_rebuild(sys.positions());
   const CostTable costs;
   NullMem mem;
-  neighbor_count_chunk(sys, grid, nlist, costs, 0, sys.n_atoms(), 1, mem);
+  std::vector<PageVec<int>> stashes(static_cast<std::size_t>(stride));
+  for (int o = 0; o < stride; ++o) {
+    neighbor_count_chunk(sys, grid, nlist, costs, o, sys.n_atoms(), stride,
+                         stashes[static_cast<std::size_t>(o)], mem);
+  }
   nlist.finalize_offsets();
   ASSERT_GT(nlist.total_entries(), 0u);
 
-  const LjResult filled = native_chunks(sys, grid, nlist, lj, /*rebuild=*/true, stride);
+  const LjResult filled = native_chunks(sys, grid, nlist, lj, /*rebuild=*/true, stride, stashes);
   nlist.end_rebuild();
-  const LjResult reused = native_chunks(sys, grid, nlist, lj, /*rebuild=*/false, stride);
+  const LjResult reused = native_chunks(sys, grid, nlist, lj, /*rebuild=*/false, stride, stashes);
   const LjResult ref = scalar_reference(sys, nlist, lj, stride);
   expect_bitwise(filled, ref, "rebuild");
   expect_bitwise(reused, ref, "no rebuild");
@@ -185,7 +194,8 @@ void expect_crafted_matches(bool multi_type) {
 
   const LjTable lj(sys, kCutoff);
   const CellGrid grid(box.lo, box.hi, nlist.reach());
-  const LjResult got = native_chunks(sys, grid, nlist, lj, /*rebuild=*/false, 1);
+  const LjResult got = native_chunks(sys, grid, nlist, lj, /*rebuild=*/false, 1,
+                                     std::vector<PageVec<int>>(1));
   const LjResult ref = scalar_reference(sys, nlist, lj, 1);
   expect_bitwise(got, ref, multi_type ? "crafted, 3 types" : "crafted, 1 type");
 

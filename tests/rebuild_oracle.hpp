@@ -7,6 +7,7 @@
 //   bin            serial counting sort of atoms into CellGrid cells;
 //   prefix_offsets serial exclusive prefix sum of the CSR row counts;
 //   morton_order   Morton keys + std::stable_sort;
+//   neighbor_rows  the half-list rows scanned over every adjacent cell;
 //   reduce_dense   the paper's O(n_atoms x n_slots) reduction sweep.
 #pragma once
 
@@ -90,6 +91,34 @@ inline std::vector<int> morton_order(std::span<const Vec3> positions, const Vec3
     return key[static_cast<std::size_t>(a)] < key[static_cast<std::size_t>(b)];
   });
   return order;
+}
+
+// The rows `nl` must hold for its reference snapshot: for each atom, every
+// adjacent cell in neighbor_cells order — none skipped — and its occupants
+// in ascending order, kept when j > i, not both fixed, not bonded and within
+// the list radius.
+inline std::vector<std::vector<int>> neighbor_rows(const MolecularSystem& sys,
+                                                   const NeighborList& nl) {
+  const std::vector<Vec3>& pos = nl.reference_positions();
+  CellGrid grid(sys.box().lo, sys.box().hi, nl.reach());
+  grid.bin(pos);
+  const double reach2 = nl.reach() * nl.reach();
+  std::vector<std::vector<int>> rows(pos.size());
+  for (int i = 0; i < static_cast<int>(pos.size()); ++i) {
+    const Vec3& xi = pos[static_cast<std::size_t>(i)];
+    int cells[27];
+    const int nc = grid.neighbor_cells(grid.cell_of(xi), cells);
+    for (int c = 0; c < nc; ++c) {
+      for (const int* it = grid.cell_begin(cells[c]); it != grid.cell_end(cells[c]); ++it) {
+        const int j = *it;
+        if (j <= i || (!sys.movable(i) && !sys.movable(j)) || sys.excluded(i, j)) continue;
+        if (distance2(xi, pos[static_cast<std::size_t>(j)]) <= reach2) {
+          rows[static_cast<std::size_t>(i)].push_back(j);
+        }
+      }
+    }
+  }
+  return rows;
 }
 
 // Sums every slot in slot order into acc = F / m and zeroes every entry.

@@ -248,6 +248,107 @@ TEST(RebuildParallelTest, EngineEnergiesIndependentOfPoolAndQueueMode) {
   }
 }
 
+// Nanocar (bonds of all three kinds, fixed platform atoms) plus a few
+// charged atoms, so every per-atom array and every remapped list is live.
+md::MolecularSystem permute_system() {
+  md::MolecularSystem sys = workloads::make_nanocar().system;
+  const Vec3 mid = (sys.box().lo + sys.box().hi) * 0.5;
+  for (int k = 0; k < 12; ++k) {
+    sys.add_atom(0, mid + Vec3{0.7 * k, 0.3 * k, 0.2}, Vec3{0.01 * k, 0.0, -0.01},
+                 k % 2 == 0 ? 1.0 : -1.0);
+  }
+  return sys;
+}
+
+template <typename T>
+bool same_bytes(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+void expect_same_state(const md::MolecularSystem& got, const md::MolecularSystem& want) {
+  const int n = want.n_atoms();
+  ASSERT_EQ(got.n_atoms(), n);
+  EXPECT_EQ(std::memcmp(got.positions().data(), want.positions().data(), n * sizeof(Vec3)), 0);
+  EXPECT_EQ(std::memcmp(got.velocities().data(), want.velocities().data(), n * sizeof(Vec3)), 0);
+  EXPECT_EQ(
+      std::memcmp(got.accelerations().data(), want.accelerations().data(), n * sizeof(Vec3)), 0);
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(same_bytes(got.mass(i), want.mass(i))) << "atom " << i;
+    ASSERT_TRUE(same_bytes(got.inv_mass(i), want.inv_mass(i))) << "atom " << i;
+    ASSERT_TRUE(same_bytes(got.charge(i), want.charge(i))) << "atom " << i;
+    ASSERT_EQ(got.type_of(i), want.type_of(i)) << "atom " << i;
+    ASSERT_EQ(got.movable(i), want.movable(i)) << "atom " << i;
+    ASSERT_EQ(got.external_id(i), want.external_id(i)) << "atom " << i;
+    ASSERT_EQ(got.index_of_external(i), want.index_of_external(i)) << "external " << i;
+    ASSERT_EQ(got.index_of_external(got.external_id(i)), i) << "atom " << i;
+  }
+  EXPECT_EQ(got.charged_indices(), want.charged_indices());
+  ASSERT_EQ(got.radial_bonds().size(), want.radial_bonds().size());
+  for (std::size_t k = 0; k < want.radial_bonds().size(); ++k) {
+    const md::RadialBond& a = got.radial_bonds()[k];
+    const md::RadialBond& b = want.radial_bonds()[k];
+    ASSERT_TRUE(a.a == b.a && a.b == b.b && same_bytes(a.k, b.k) && same_bytes(a.r0, b.r0));
+    ASSERT_TRUE(got.excluded(a.a, a.b));
+  }
+  ASSERT_EQ(got.angular_bonds().size(), want.angular_bonds().size());
+  for (std::size_t k = 0; k < want.angular_bonds().size(); ++k) {
+    const md::AngularBond& a = got.angular_bonds()[k];
+    const md::AngularBond& b = want.angular_bonds()[k];
+    ASSERT_TRUE(a.a == b.a && a.b == b.b && a.c == b.c && same_bytes(a.k, b.k) &&
+                same_bytes(a.theta0, b.theta0));
+  }
+  ASSERT_EQ(got.torsion_bonds().size(), want.torsion_bonds().size());
+  for (std::size_t k = 0; k < want.torsion_bonds().size(); ++k) {
+    const md::TorsionBond& a = got.torsion_bonds()[k];
+    const md::TorsionBond& b = want.torsion_bonds()[k];
+    ASSERT_TRUE(a.a == b.a && a.b == b.b && a.c == b.c && a.d == b.d && a.n == b.n &&
+                same_bytes(a.k, b.k) && same_bytes(a.phi0, b.phi0));
+  }
+}
+
+TEST(RebuildParallelTest, PermuteMatchesNullPoolAtOneThreeAndEightChunks) {
+  const md::MolecularSystem base = permute_system();
+  ASSERT_GT(base.n_charged(), 0);
+  ASSERT_GT(base.torsion_bonds().size(), 0u);
+  ASSERT_LT(base.n_movable(), base.n_atoms());
+  // A random shuffle, then the Morton order of the shuffled state: the
+  // second permute starts from non-identity external ids.
+  std::vector<int> shuffle(static_cast<std::size_t>(base.n_atoms()));
+  for (int k = 0; k < base.n_atoms(); ++k) shuffle[static_cast<std::size_t>(k)] = k;
+  Rng rng(17);
+  for (std::size_t k = shuffle.size() - 1; k > 0; --k) {
+    std::swap(shuffle[k], shuffle[rng.next() % (k + 1)]);
+  }
+  md::MolecularSystem ref = base;
+  ref.permute(shuffle);
+  const std::vector<int> morton =
+      md::morton_order(ref.positions(), ref.box().lo, ref.box().hi, 8.9);
+  ref.permute(morton);
+  // The inline result is the gather itself.
+  for (int k = 0; k < base.n_atoms(); ++k) {
+    const int from = shuffle[static_cast<std::size_t>(morton[static_cast<std::size_t>(k)])];
+    ASSERT_EQ(ref.external_id(k), from);
+    ASSERT_TRUE(same_bytes(ref.positions()[static_cast<std::size_t>(k)],
+                           base.positions()[static_cast<std::size_t>(from)]));
+  }
+  for (QueueMode mode : kModes) {
+    FixedThreadPool pool({.n_threads = 4, .queue_mode = mode});
+    for (int chunks : {1, 3, 8}) {
+      md::MolecularSystem par = base;
+      par.permute(shuffle, &pool, chunks);
+      par.permute(morton, &pool, chunks);
+      expect_same_state(par, ref);
+    }
+  }
+  // The inverse check still rejects a non-permutation before moving anything.
+  FixedThreadPool pool({.n_threads = 4});
+  md::MolecularSystem bad = base;
+  std::vector<int> repeated = shuffle;
+  repeated[1] = repeated[0];
+  EXPECT_THROW(bad.permute(repeated, &pool, 3), ContractError);
+  expect_same_state(bad, base);
+}
+
 TEST(RebuildParallelTest, BinRewritesEveryCellForEmptyAndSingleAtomInput) {
   md::MolecularSystem sys = irregular_system(500);
   const Vec3 lo = sys.box().lo, hi = sys.box().hi;
