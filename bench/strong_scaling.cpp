@@ -49,7 +49,7 @@ Point run_point(const mwx::topo::MachineSpec& spec, int n_atoms, int threads, in
   // One thread per core, filling sockets in order (the best Table III
   // policy extended).
   for (int i = 0; i < threads; ++i) {
-    mc.pin_masks.push_back(topo::CpuSet::of({(i % spec.n_cores()) * spec.smt_per_core}));
+    mc.pin_masks.push_back(topo::CpuSet::of({spec.canonical_pu(i)}));
   }
   sim::Machine machine(mc);
   engine.run_simulated(machine, warmup);

@@ -25,12 +25,12 @@ ctest --preset default -j "${jobs}"
 
 echo "== bench smoke: locality emitter (tiny sizes) =="
 # Keeps the BENCH_*.json perf emitters from rotting: run the locality bench
-# at a tiny atom count and validate the JSON it writes has the expected
+# for two simulated steps and validate the JSON it writes has the expected
 # metric groups.
 cmake --build --preset default --parallel "${jobs}" --target locality
 repo_root=$(pwd)
 smoke_dir=$(mktemp -d)
-(cd "${smoke_dir}" && "${repo_root}/build/bench/locality" 2 600 4 >/dev/null)
+(cd "${smoke_dir}" && "${repo_root}/build/bench/locality" 2 >/dev/null)
 python3 - "${smoke_dir}/BENCH_locality.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -39,8 +39,7 @@ assert doc["bench"] == "locality", doc.get("bench")
 # Artifact identity header (schema v2): every BENCH_*.json emitter carries it.
 assert doc.get("schema_version") == 2, f"schema_version: {doc.get('schema_version')}"
 assert doc.get("git_sha"), "git_sha missing or empty"
-assert doc.get("provider") in ("sim", "perf_event", "fallback", "mixed"), \
-    f"provider: {doc.get('provider')}"
+assert doc.get("provider") == "sim", f"provider: {doc.get('provider')}"
 sim_groups = [k for k in doc if k.startswith("sim.")]
 assert len(sim_groups) >= 3, f"expected >=3 sim.* machine groups, got {sim_groups}"
 for g in sim_groups:
@@ -50,11 +49,7 @@ for g in sim_groups:
             for metric in ("l2_miss_pct", "l3_miss_pct", "ms_per_step"):
                 k = f"{layout}.{state}.{metric}"
                 assert k in keys, f"{g} missing {k}"
-native = doc["native"]
-for k in ("ns_per_pair_seed", "ns_per_pair_locality", "speedup_locality_vs_seed"):
-    assert k in native, f"native missing {k}"
-    assert float(native[k]) > 0.0, f"native {k} not positive"
-print("BENCH_locality.json OK:", len(sim_groups), "machine groups + native")
+print("BENCH_locality.json OK:", len(sim_groups), "machine groups")
 EOF
 rm -rf "${smoke_dir}"
 

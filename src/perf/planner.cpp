@@ -42,7 +42,7 @@ struct Bracket {
 };
 
 // Effective per-thread capacity of one cache level under the canonical
-// "fill cores in order" placement: instance size times the number of
+// placement (MachineSpec::canonical_pu): instance size times the number of
 // distinct instances the first N threads touch, divided by N.
 double capacity_per_thread(const topo::MachineSpec& spec, const topo::CacheLevelSpec& level,
                            int n_threads) {
@@ -50,8 +50,8 @@ double capacity_per_thread(const topo::MachineSpec& spec, const topo::CacheLevel
   std::vector<bool> seen;
   int instances = 0;
   for (int t = 0; t < n; ++t) {
-    const int pu = (t % spec.n_cores()) * spec.smt_per_core;
-    const std::size_t inst = static_cast<std::size_t>(pu / level.pus_per_instance);
+    const std::size_t inst =
+        static_cast<std::size_t>(spec.canonical_pu(t) / level.pus_per_instance);
     if (inst >= seen.size()) seen.resize(inst + 1, false);
     if (!seen[inst]) {
       seen[inst] = true;
@@ -97,8 +97,7 @@ Placement canonical_placement(const topo::MachineSpec& spec, int n_threads, bool
     // threads; no remote hops.
     std::vector<bool> seen(static_cast<std::size_t>(spec.packages), false);
     for (int t = 0; t < n; ++t) {
-      seen[static_cast<std::size_t>(
-          spec.core_to_package((t % spec.n_cores())))] = true;
+      seen[static_cast<std::size_t>(spec.pu_to_package(spec.canonical_pu(t)))] = true;
     }
     p.packages_spanned = 0;
     for (bool s : seen) p.packages_spanned += s ? 1 : 0;
@@ -108,7 +107,7 @@ Placement canonical_placement(const topo::MachineSpec& spec, int n_threads, bool
   if (pinned) {
     int remote = 0;
     for (int t = 0; t < n; ++t) {
-      if (spec.core_to_package(t % spec.n_cores()) != spec.memory.home_package) ++remote;
+      if (spec.pu_to_package(spec.canonical_pu(t)) != spec.memory.home_package) ++remote;
     }
     p.remote_fraction = static_cast<double>(remote) / static_cast<double>(n);
   } else {
@@ -185,36 +184,24 @@ RunProfile Planner::profile_from(const TraceSnapshot& trace, const PmuReport& pm
   }
 
   // --- 2. Tasks into brackets ------------------------------------------------
-  // Brackets are NOT disjoint: on rebuild steps the overlap phase (tag 7)
-  // runs concurrently with the forces phase, so a task can sit inside two
-  // brackets at once.  Keep an active set (begin passed, end not yet) and
-  // give each task to the *innermost* containing bracket — the one that
-  // opened last — which attributes forces tasks to the forces bracket even
-  // while the wider overlap bracket is still open.
+  // Every phase is its own dispatch and ends at its barrier before the next
+  // one starts, so brackets are disjoint on both backends.  One forward
+  // merge: skip the brackets that close before the task does; the task
+  // belongs to the next one if that bracket contains it.  A task outside
+  // every surviving bracket (lapped ring) has no home; skip it rather than
+  // misattribute.
   {
-    std::size_t next = 0;
-    std::vector<Bracket*> active;
+    std::size_t bi = 0;
     for (const auto& m : trace.events) {
       if (m.event.kind != TraceKind::Task) continue;
-      while (next < brackets.size() && brackets[next].begin <= m.event.begin + eps) {
-        active.push_back(&brackets[next++]);
-      }
-      std::erase_if(active, [&](const Bracket* b) { return b->end < m.event.begin - eps; });
-      Bracket* home = nullptr;
-      for (Bracket* b : active) {
-        if (m.event.begin >= b->begin - eps && m.event.end <= b->end + eps &&
-            (home == nullptr || b->begin >= home->begin)) {
-          home = b;
-        }
-      }
-      // A task outside every surviving bracket (lapped ring) has no home;
-      // skip it rather than misattribute.
-      if (home == nullptr) continue;
+      while (bi < brackets.size() && brackets[bi].end + eps < m.event.end) ++bi;
+      if (bi == brackets.size() || m.event.begin < brackets[bi].begin - eps) continue;
+      Bracket& home = brackets[bi];
       const double dur = m.event.end - m.event.begin;
-      home->task_seconds += dur;
-      home->task_count += 1.0;
-      home->max_task_seconds = std::max(home->max_task_seconds, dur);
-      home->owner_seconds[m.event.arg] += dur;
+      home.task_seconds += dur;
+      home.task_count += 1.0;
+      home.max_task_seconds = std::max(home.max_task_seconds, dur);
+      home.owner_seconds[m.event.arg] += dur;
     }
   }
 

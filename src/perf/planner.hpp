@@ -30,7 +30,7 @@
 // The module deliberately links only mwx_perf + mwx_topo: the simulator's
 // parameter structs are header-only, so the planner can price machines it
 // never instantiates.  Validation (actually running the predicted configs)
-// lives in the callers: tools/mwx_run --plan, bench/planner_validation.
+// lives in one caller: tools/mwx_run --plan --plan-validate.
 #pragma once
 
 #include <iosfwd>

@@ -1,18 +1,19 @@
-// Analytical view of the simulator's pricing rules.
+// The simulator's price list.
 //
-// The discrete-event Machine charges memory and scheduling costs access by
-// access (machine.cpp); the what-if planner (perf::Planner) needs the same
-// prices in closed form so it can re-price a measured phase on a machine it
-// never ran on.  This header derives, from a topo::MachineSpec and the
-// CostParams the simulator itself uses, the per-event constants that
-// machine.cpp applies:
+// One MachinePricing, derived from a topo::MachineSpec and the CostParams,
+// holds every per-event memory price: sim::Machine builds one at
+// construction and charges each access from it (machine.cpp), and the
+// what-if planner (perf::Planner) re-prices a measured phase on a machine it
+// never ran on from the same numbers.  It carries
 //
-//   * per-level hit latencies and per-thread-visible capacities,
+//   * per-level hit latencies and per-instance capacities, levels in L1..Ln
+//     order whatever order the spec lists them in,
 //   * the effective DRAM stall per missing line (dram_latency / mlp, with the
 //     remote-home factor),
 //   * the memory-controller occupancy per line (max of streaming and
 //     random-access figures) — the bandwidth ceiling of a phase,
-//   * the per-task acquisition cost of each queue discipline.
+//
+// and, beside it, the per-task acquisition cost of each queue discipline.
 //
 // Header-only and dependency-light on purpose: the planner links mwx_perf +
 // mwx_topo but not the simulator; everything here is a pure function of the
@@ -28,14 +29,14 @@
 
 namespace mwx::sim {
 
-// One cache level as the planner prices it.
+// One cache level's prices.
 struct LevelPricing {
   int level = 1;
   double capacity_bytes = 0.0;     // per instance
   double hit_latency_cycles = 0.0;
 };
 
-// Everything the planner needs to re-price a phase on one machine.
+// Every memory price of one machine, as the simulator charges it.
 struct MachinePricing {
   std::vector<LevelPricing> levels;   // ordered L1..Ln
   double ghz = 0.0;
@@ -43,17 +44,18 @@ struct MachinePricing {
   int cores = 1;
   int pus = 1;
   int smt_per_core = 1;
-  int line_bytes = 64;
+  int line_bytes = 64;                // the last level's line: the DRAM transfer unit
 
   // Effective stall charged to the issuing thread per line that misses the
   // whole hierarchy, before queueing: dram_latency / mlp (out-of-order
-  // overlap), times remote_latency_factor when the line's home controller
-  // sits on another package.
+  // overlap); the remote stall is dram_latency * remote_latency_factor / mlp,
+  // for a line whose home controller sits on another package.
   double dram_stall_local_cycles = 0.0;
   double dram_stall_remote_cycles = 0.0;
 
-  // Controller occupancy per line with poor locality: the planner's
-  // bandwidth ceiling is (lines / controllers) * this.
+  // Controller occupancy per line fetched or written back: max of the
+  // streaming and random-access figures.  The planner's bandwidth ceiling
+  // is (lines / controllers) * this.
   double line_occupancy_cycles = 0.0;
 
   // MemorySpec::home_package: >= 0 pins every transfer to one controller
@@ -65,6 +67,16 @@ struct MachinePricing {
   [[nodiscard]] double to_seconds(double cycles) const { return cycles / (ghz * 1e9); }
 };
 
+// The spec's cache levels in L1..Ln order (a spec may list them in any
+// order); the Machine's hierarchy and the pricing both walk this order.
+[[nodiscard]] inline std::vector<topo::CacheLevelSpec> levels_in_order(
+    const topo::MachineSpec& spec) {
+  std::vector<topo::CacheLevelSpec> levels = spec.caches;
+  std::stable_sort(levels.begin(), levels.end(),
+                   [](const auto& a, const auto& b) { return a.level < b.level; });
+  return levels;
+}
+
 [[nodiscard]] inline MachinePricing make_pricing(const topo::MachineSpec& spec,
                                                  const CostParams& cost) {
   MachinePricing p;
@@ -73,18 +85,18 @@ struct MachinePricing {
   p.cores = spec.n_cores();
   p.pus = spec.n_pus();
   p.smt_per_core = spec.smt_per_core;
-  for (const auto& c : spec.caches) {
+  for (const auto& c : levels_in_order(spec)) {
     p.levels.push_back({c.level, static_cast<double>(c.size_bytes), c.hit_latency_cycles});
     p.line_bytes = c.line_bytes;
   }
-  p.dram_stall_local_cycles = spec.memory.dram_latency_cycles / cost.mlp;
-  p.dram_stall_remote_cycles =
-      p.dram_stall_local_cycles * spec.memory.remote_latency_factor;
-  p.line_occupancy_cycles =
-      std::max(static_cast<double>(p.line_bytes) / spec.memory.bytes_per_cycle_per_controller,
-               spec.memory.random_line_occupancy_cycles);
-  p.home_package = spec.memory.home_package;
-  p.remote_latency_factor = spec.memory.remote_latency_factor;
+  const topo::MemorySpec& mem = spec.memory;
+  p.dram_stall_local_cycles = mem.dram_latency_cycles / cost.mlp;
+  p.dram_stall_remote_cycles = mem.dram_latency_cycles * mem.remote_latency_factor / cost.mlp;
+  p.line_occupancy_cycles = std::max(
+      static_cast<double>(p.line_bytes) / mem.bytes_per_cycle_per_controller,
+      mem.random_line_occupancy_cycles);
+  p.home_package = mem.home_package;
+  p.remote_latency_factor = mem.remote_latency_factor;
   return p;
 }
 

@@ -18,13 +18,14 @@ constexpr std::uint32_t kAccessBatch = 8;
 
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
+      pricing_(make_pricing(config_.spec, config_.cost)),
       rng_(config_.sched.seed),
       event_log_(std::max(1, config_.n_threads)) {
   const auto& spec = config_.spec;
   require(config_.n_threads > 0, "machine needs at least one worker thread");
   require(spec.n_pus() > 0, "machine spec has no PUs");
 
-  for (const auto& c : spec.caches) {
+  for (const auto& c : levels_in_order(spec)) {
     Level lvl;
     lvl.spec = c;
     const int instances = (spec.n_pus() + c.pus_per_instance - 1) / c.pus_per_instance;
@@ -34,8 +35,6 @@ Machine::Machine(MachineConfig config)
     }
     levels_.push_back(std::move(lvl));
   }
-  std::sort(levels_.begin(), levels_.end(),
-            [](const Level& a, const Level& b) { return a.spec.level < b.spec.level; });
 
   controller_free_.assign(static_cast<std::size_t>(spec.packages), 0.0);
   occupancy_.assign(static_cast<std::size_t>(spec.n_cores()), 0);
@@ -248,7 +247,7 @@ double Machine::charge_access(int pu, const Access& a, double t) {
         if (r.evicted_dirty) ++ls->dirty_evictions;
       }
     }
-    cost += lvl.spec.hit_latency_cycles;
+    cost += pricing_.levels[li].hit_latency_cycles;
     const bool last_level = li + 1 == levels_.size();
     if (a.write && lvl.instances.size() > 1) {
       // Coherence: gaining write ownership invalidates copies in every other
@@ -267,11 +266,9 @@ double Machine::charge_access(int pu, const Access& a, double t) {
       // and is exact whenever eviction victim and fetch target share a
       // region, the common case for the engine's streaming phases.)
       const int pkg = home >= 0 ? home : config_.spec.pu_to_package(pu);
-      const double transfer =
-          std::max(lvl.spec.line_bytes / config_.spec.memory.bytes_per_cycle_per_controller,
-                   config_.spec.memory.random_line_occupancy_cycles);
       controller_free_[static_cast<std::size_t>(pkg)] =
-          std::max(controller_free_[static_cast<std::size_t>(pkg)], t) + transfer;
+          std::max(controller_free_[static_cast<std::size_t>(pkg)], t) +
+          pricing_.line_occupancy_cycles;
       ++counters_.dram_writebacks;
       ++d.dram_writebacks;
     }
@@ -282,14 +279,10 @@ double Machine::charge_access(int pu, const Access& a, double t) {
   const int this_pkg = config_.spec.pu_to_package(pu);
   const int pkg = home >= 0 ? home : this_pkg;
   const bool remote = home >= 0 && this_pkg != home;
-  const int line_bytes = levels_.empty() ? 64 : levels_.back().spec.line_bytes;
-  const double transfer =
-      std::max(line_bytes / config_.spec.memory.bytes_per_cycle_per_controller,
-               config_.spec.memory.random_line_occupancy_cycles);
   double& free_at = controller_free_[static_cast<std::size_t>(pkg)];
   const double start = std::max(t + cost, free_at);
   const double queue_delay = start - (t + cost);
-  free_at = start + transfer;
+  free_at = start + pricing_.line_occupancy_cycles;
   ++counters_.dram_line_fetches;
   counters_.dram_queue_cycles += queue_delay;
   ++d.dram_line_fetches;
@@ -301,9 +294,8 @@ double Machine::charge_access(int pu, const Access& a, double t) {
   // The data transfer itself overlaps with the access latency for the
   // requesting thread; only the overlapped latency and any queueing behind
   // earlier transfers stall it.
-  const double latency = config_.spec.memory.dram_latency_cycles *
-                         (remote ? config_.spec.memory.remote_latency_factor : 1.0);
-  cost += latency / config_.cost.mlp + queue_delay;
+  cost += (remote ? pricing_.dram_stall_remote_cycles : pricing_.dram_stall_local_cycles) +
+          queue_delay;
   return cost;
 }
 

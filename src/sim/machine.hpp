@@ -24,6 +24,7 @@
 #include "perf/trace_ring.hpp"
 #include "sim/access.hpp"
 #include "sim/cache.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/numa.hpp"
 #include "sim/params.hpp"
 #include "topo/cpuset.hpp"
@@ -135,9 +136,7 @@ class Machine {
   void run_serial(double compute_cycles);
 
   [[nodiscard]] double now_seconds() const { return to_seconds(global_cycles_); }
-  [[nodiscard]] double to_seconds(double cycles) const {
-    return cycles / (config_.spec.ghz * 1e9);
-  }
+  [[nodiscard]] double to_seconds(double cycles) const { return pricing_.to_seconds(cycles); }
 
   [[nodiscard]] int n_threads() const { return config_.n_threads; }
   [[nodiscard]] const MachineConfig& config() const { return config_; }
@@ -218,7 +217,8 @@ class Machine {
   }
 
   MachineConfig config_;
-  std::vector<Level> levels_;
+  MachinePricing pricing_;                // read by charge_access and to_seconds
+  std::vector<Level> levels_;             // L1..Ln, the order of pricing_.levels
   std::vector<double> controller_free_;   // per package, cycles
   std::vector<double> noise_next_;        // per core: next burst start, cycles
   std::vector<int> occupancy_;            // running threads per core

@@ -62,6 +62,12 @@ struct MachineSpec {
   [[nodiscard]] int pu_to_package(int pu) const { return pu_to_core(pu) / cores_per_package; }
   [[nodiscard]] int core_to_package(int core) const { return core / cores_per_package; }
 
+  // The canonical pinning: thread t runs on the first PU of core
+  // t mod n_cores(), filling cores in topology order.  The what-if planner's
+  // capacity and remote-fraction models assume this placement, and pinned
+  // validation runs use it.
+  [[nodiscard]] int canonical_pu(int thread) const { return (thread % n_cores()) * smt_per_core; }
+
   // Index of the cache instance of `level` that services `pu`, or -1 when the
   // machine has no such level.
   [[nodiscard]] int cache_instance(int level, int pu) const {

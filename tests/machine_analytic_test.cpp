@@ -3,7 +3,11 @@
 // simulator's arithmetic (not just its qualitative behaviour).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "md/engine.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/machine.hpp"
 #include "topo/machine_spec.hpp"
 #include "workloads/workloads.hpp"
@@ -17,6 +21,37 @@ MachineConfig quiet(int threads) {
   c.sched.noise_bursts_per_second = 0.0;
   c.n_threads = threads;
   return c;
+}
+
+// A quiet machine with no wake, pop or dispatch cost: a one-task phase's
+// busy time is then exactly the sum of its access charges.
+MachineConfig zero_overhead(topo::MachineSpec spec, int pu) {
+  MachineConfig c;
+  c.spec = std::move(spec);
+  c.sched.noise_bursts_per_second = 0.0;
+  c.cost.wake_latency_cycles = 0.0;
+  c.cost.queue_uncontended_cycles = 0.0;
+  c.cost.dispatch_cycles_per_task = 0.0;
+  c.n_threads = 1;
+  c.pin_masks = {topo::CpuSet::of({pu})};
+  return c;
+}
+
+// Busy seconds of a phase whose only task reads one cold line.
+double one_miss_busy_seconds(Machine& m) {
+  PhaseWork w;
+  w.tag = 1;
+  w.accesses.push_back({0x1000, false});
+  w.tasks.push_back({0, 0.0, 0, 1, 0});
+  return m.run_phase(w).busy_seconds[0];
+}
+
+// One access that misses every level, priced in the Machine's summation
+// order: each level's hit latency, then the DRAM stall.
+double miss_cycles(const MachinePricing& p, double dram_stall_cycles) {
+  double cycles = 0.0;
+  for (const auto& l : p.levels) cycles += l.hit_latency_cycles;
+  return cycles + dram_stall_cycles;
 }
 
 TEST(MachineAnalyticTest, PureComputePhaseDuration) {
@@ -151,6 +186,48 @@ TEST(MachineAnalyticTest, RemoteAccessCostsMoreThanLocal) {
   const double local = run(0);    // package 0 = heap home
   const double remote = run(32);  // package 2
   EXPECT_GT(remote, local * 1.1);
+}
+
+TEST(MachineAnalyticTest, PricingOrdersCacheLevelsListedOutOfOrder) {
+  // A spec may list its caches in any order; the pricing must walk them
+  // L1..Ln as the Machine does, with line_bytes taken from the last level.
+  topo::MachineSpec ordered = topo::core_i7_920();
+  ordered.caches.back().line_bytes = 128;
+  topo::MachineSpec shuffled = ordered;
+  std::reverse(shuffled.caches.begin(), shuffled.caches.end());
+  const CostParams cost;
+  const MachinePricing want = make_pricing(ordered, cost);
+  const MachinePricing got = make_pricing(shuffled, cost);
+  ASSERT_EQ(got.levels.size(), want.levels.size());
+  for (std::size_t i = 0; i < got.levels.size(); ++i) {
+    EXPECT_EQ(got.levels[i].level, static_cast<int>(i) + 1);
+    EXPECT_EQ(got.levels[i].level, want.levels[i].level);
+    EXPECT_EQ(got.levels[i].capacity_bytes, want.levels[i].capacity_bytes);
+    EXPECT_EQ(got.levels[i].hit_latency_cycles, want.levels[i].hit_latency_cycles);
+  }
+  EXPECT_EQ(want.line_bytes, 128);
+  EXPECT_EQ(got.line_bytes, want.line_bytes);
+  EXPECT_EQ(got.line_occupancy_cycles, want.line_occupancy_cycles);
+
+  // The Machine built from the shuffled spec charges a cold miss exactly
+  // what the pricing says.
+  Machine m(zero_overhead(shuffled, 0));
+  EXPECT_EQ(one_miss_busy_seconds(m), m.to_seconds(miss_cycles(got, got.dram_stall_local_cycles)));
+  EXPECT_EQ(m.counters().dram_line_fetches, 1);
+  EXPECT_EQ(m.counters().dram_remote_fetches, 0);
+}
+
+TEST(MachineAnalyticTest, RemoteMissChargesThePricingsRemoteStall) {
+  // X7560's heap lives on package 0; PU 32 sits on package 2, so its one
+  // cold miss is a remote fetch, charged to the bit what the pricing lists.
+  const topo::MachineSpec spec = topo::xeon_x7560_4s();
+  ASSERT_EQ(spec.memory.home_package, 0);
+  ASSERT_EQ(spec.pu_to_package(32), 2);
+  Machine m(zero_overhead(spec, 32));
+  const MachinePricing p = make_pricing(spec, m.config().cost);
+  EXPECT_EQ(one_miss_busy_seconds(m), m.to_seconds(miss_cycles(p, p.dram_stall_remote_cycles)));
+  EXPECT_EQ(m.counters().dram_remote_fetches, 1);
+  EXPECT_GT(p.dram_stall_remote_cycles, p.dram_stall_local_cycles);
 }
 
 }  // namespace

@@ -80,7 +80,7 @@ double run_config(const PlanConfig& c, int steps) {
   mc.record_events = false;
   if (c.pinned) {
     for (int i = 0; i < c.n_threads; ++i) {
-      mc.pin_masks.push_back(topo::CpuSet::of({(i % c.spec.n_cores()) * c.spec.smt_per_core}));
+      mc.pin_masks.push_back(topo::CpuSet::of({c.spec.canonical_pu(i)}));
     }
   }
   sim::Machine machine(mc);

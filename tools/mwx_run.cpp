@@ -14,6 +14,11 @@
 //   BENCH_<name>_run.json    run summary, load imbalance from the
 //                            ground-truth event log, and allocation totals.
 //
+// With --plan it also writes PLAN_<name>.json: the what-if planner's ranking
+// of every Table II machine x discipline x pinning config, profiled from the
+// simulated run; --plan-validate all re-runs every config in the simulator
+// (the planner validation table of EXPERIMENTS.md).
+//
 // tools/mwx-report joins these files into the VTune-style Markdown/JSON run
 // report.  With --check the tool re-derives the sim conservation law — every
 // per-(phase, core) counter domain summed over both axes must reproduce the
@@ -201,14 +206,11 @@ void write_text_file(const std::string& path, const std::string& what,
 
 // --- What-if planner ---------------------------------------------------------
 
-// Canonical pinning for a candidate config: thread i on core i (topology-
-// major), one PU per core — the same placement the planner's capacity and
+// Pinning for a candidate config: the placement the planner's capacity and
 // remote-fraction models assume.
 std::vector<topo::CpuSet> canonical_pin_masks(const topo::MachineSpec& spec, int n_threads) {
   std::vector<topo::CpuSet> masks;
-  for (int i = 0; i < n_threads; ++i) {
-    masks.push_back(topo::CpuSet::of({(i % spec.n_cores()) * spec.smt_per_core}));
-  }
+  for (int i = 0; i < n_threads; ++i) masks.push_back(topo::CpuSet::of({spec.canonical_pu(i)}));
   return masks;
 }
 
