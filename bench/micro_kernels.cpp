@@ -108,6 +108,16 @@ void BM_ThreadPoolRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadPoolRoundTrip);
 
+// One empty 4-item phase on a 4-thread pool: the fork-join cost every
+// engine phase and every for_chunks pass pays on top of its work.  The
+// argument is the QueueMode (0 Single, 1 PerThread, 2 WorkStealing).
+void BM_PhaseDispatch(benchmark::State& state) {
+  parallel::FixedThreadPool pool(
+      {.n_threads = 4, .queue_mode = static_cast<parallel::QueueMode>(state.range(0))});
+  for (auto _ : state) pool.run_phase(4, [](int item) { benchmark::DoNotOptimize(item); });
+}
+BENCHMARK(BM_PhaseDispatch)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
+
 void BM_JamonMonitorAdd(benchmark::State& state) {
   perf::JamonMonitor monitor;
   for (auto _ : state) monitor.add("hot", 1e-6);

@@ -5,7 +5,8 @@
 # the forced-scalar preset's full suite; the tsan preset's concurrency suites
 # (StealDeque/ThreadPool/TaskQueue/QueueModes/Latch/Barrier/TraceRing/
 # JobHandle/ForChunks/Reentrancy/Serve/SceneCache/RebuildParallel/
-# StepPipeline/NeighborBuild), which pin the lock-free executor paths, the
+# StepPipeline/NeighborBuild/PhaseDispatch), which pin the lock-free
+# executor paths (run_phase's claim word among them), the
 # idempotent-shutdown fix, the trace ring's merge-at-read protocol, the
 # chunked fan-out, the re-entrant shared-pool/serve stack, the chunked
 # rebuild pipeline, the fused, pipelined step phases and the per-chunk
@@ -252,9 +253,9 @@ echo "== asan: kernel/force/engine/locality/scene/executor suites (asan preset) 
 # read past a row, a buffer or a lane mask's intent fails here.  The
 # SparseReduce and RebuildParallel suites run the reduction at 300 slots and
 # the chunked rebuild passes down to empty and single-atom inputs.  The
-# ThreadPool/JobHandle/TaskQueue/ForChunks/Reentrancy suites run the
-# executor's spin-then-park waits, the chunked fan-out and the shared-pool
-# stack under the same checks.  NeighborBuild runs the count kernel's stash
+# ThreadPool/JobHandle/TaskQueue/ForChunks/Reentrancy/PhaseDispatch suites
+# run the executor's spin-then-park waits, run_phase, the chunked fan-out
+# and the shared-pool stack under the same checks.  NeighborBuild runs the count kernel's stash
 # appends (including growth from empty) and the fill's row copies.
 cmake --preset asan
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests

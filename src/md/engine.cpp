@@ -217,82 +217,62 @@ void Engine::exec_phase(parallel::FixedThreadPool* pool, sim::Machine* machine, 
 
   const double phase_trace0 = native_trace_ != nullptr ? native_trace_->now() : 0.0;
 
-  // Native threaded backend.  Tasks sharing an accumulation slot form a
-  // chain that executes serially in submission order; only that slot's
-  // privatized buffers are written.  Whichever worker runs the chain — and
-  // under WorkStealing, or on a pool shared with other engines, that changes
-  // run to run — each buffer sees the same floating-point addition order, so
-  // every queue discipline and every pool size reproduces the inline result
-  // bit for bit.  Phase completion is tracked by a JobHandle, not the pool's
-  // global counters: other tenants' traffic can neither starve this barrier
-  // nor be waited on by it, and a chain that throws surfaces here (with its
-  // message) instead of hanging the phase.
-  std::vector<std::vector<TaskDesc>> chains(static_cast<std::size_t>(n_slots_));
-  for (const TaskDesc& t : tasks) {
-    chains[static_cast<std::size_t>(t.owner)].push_back(t);
-  }
-  int n_chains = 0;
-  for (const auto& chain : chains) n_chains += chain.empty() ? 0 : 1;
-  parallel::JobHandle phase_job;
-  const int pool_workers = pool->n_threads();
-  // Single mode has one queue, so a placement hint is meaningless; under
-  // SharedQueue assignment the engine models exactly that executor.  All
-  // other combinations seed chain i at worker i % pool size — PerThread runs
-  // it there (the static split), WorkStealing treats it as a preference that
-  // idle peers may override.
-  const bool place = pool->config().queue_mode != parallel::QueueMode::Single &&
-                     config_.assignment != sim::Assignment::SharedQueue;
-  for (int slot = 0; slot < n_slots_; ++slot) {
-    const auto& chain = chains[static_cast<std::size_t>(slot)];
-    if (chain.empty()) continue;
-    auto body = [this, chain, slot, tag] {
-      const int worker = std::max(0, parallel::FixedThreadPool::current_worker());
-      // Phase bracket: one counter-read pair per chain (a chain runs
-      // unbroken on one worker), charged to (worker, phase tag).
-      if (native_pmu_ != nullptr) native_pmu_->task_begin();
-      NullMem mem;
-      for (const TaskDesc& t : chain) {
-        const double t0 = native_clock_.elapsed_seconds();
-        const double trace0 = native_trace_ != nullptr ? native_trace_->now() : 0.0;
-        run_task(t, slot, mem);
-        const double t1 = native_clock_.elapsed_seconds();
-        if (native_trace_ != nullptr) {
-          // Same per-task repetition knob as the JaMON path below, so the
-          // observer-effect self-audit compares the two layers at equal
-          // event rates; an untouched config records one event per task.
-          const double trace1 = native_trace_->now();
-          for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
-            native_trace_->record(worker, perf::TraceKind::Task, tag, trace0, trace1, slot);
+  // Native threaded backend: one pool phase whose item s is slot s's chain,
+  // the tasks owned by accumulation slot s run serially in task order.  Only
+  // that slot's privatized buffers are written, so whichever thread runs the
+  // chain — and under WorkStealing, on a pool shared with other engines, or
+  // when the caller takes it, that changes run to run — each buffer sees the
+  // same floating-point addition order, and every queue discipline and every
+  // pool size reproduces the inline result bit for bit.  With a probe
+  // attached the caller only waits, so every record lands on the lane of the
+  // pool worker that ran the chain.
+  const bool probed = native_trace_ != nullptr || native_pmu_ != nullptr ||
+                      native_log_ != nullptr || native_monitor_ != nullptr;
+  std::atomic<int> n_chains{0};
+  pool->run_phase(
+      n_slots_,
+      [&](int slot) {
+        const int worker = std::max(0, parallel::FixedThreadPool::current_worker());
+        int chain_length = 0;
+        NullMem mem;
+        for (const TaskDesc& t : tasks) {
+          if (t.owner != slot) continue;
+          // Phase bracket: one counter-read pair per chain (a chain runs
+          // unbroken on one worker), charged to (worker, phase tag).
+          if (chain_length++ == 0 && native_pmu_ != nullptr) native_pmu_->task_begin();
+          const double t0 = native_clock_.elapsed_seconds();
+          const double trace0 = native_trace_ != nullptr ? native_trace_->now() : 0.0;
+          run_task(t, slot, mem);
+          const double t1 = native_clock_.elapsed_seconds();
+          if (native_trace_ != nullptr) {
+            // Same per-task repetition knob as the JaMON path below, so the
+            // observer-effect self-audit compares the two layers at equal
+            // event rates; an untouched config records one event per task.
+            const double trace1 = native_trace_->now();
+            for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
+              native_trace_->record(worker, perf::TraceKind::Task, tag, trace0, trace1, slot);
+            }
+          }
+          if (native_log_ != nullptr) {
+            native_log_->record(worker, tag, t0, t1, parallel::current_cpu());
+          }
+          if (native_monitor_ != nullptr) {
+            for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
+              native_monitor_->add("phase." + std::to_string(tag), t1 - t0);
+            }
           }
         }
-        if (native_log_ != nullptr) {
-          native_log_->record(worker, tag, t0, t1, parallel::current_cpu());
+        if (chain_length == 0) return;
+        n_chains.fetch_add(1, std::memory_order_relaxed);
+        if (native_pmu_ != nullptr) {
+          native_pmu_->task_end(worker, tag, static_cast<double>(chain_length));
         }
-        if (native_monitor_ != nullptr) {
-          for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
-            native_monitor_->add("phase." + std::to_string(tag), t1 - t0);
-          }
-        }
-      }
-      if (native_pmu_ != nullptr) {
-        native_pmu_->task_end(worker, tag, static_cast<double>(chain.size()));
-      }
-    };
-    if (place) {
-      pool->submit_to(slot % pool_workers, std::move(body), phase_job);
-    } else {
-      pool->submit(std::move(body), phase_job);
-    }
-  }
-  phase_job.wait();
-  // The message is built only on failure: this runs on every phase.
-  if (!phase_job.ok()) {
-    require(false, "engine phase " + std::to_string(tag) + " task failed: " + phase_job.error());
-  }
+      },
+      /*caller_runs=*/!probed);
   if (native_trace_ != nullptr) {
     // Phase bracket on the master's lane: dispatch to barrier release.
     native_trace_->record(native_trace_->external_lane(), perf::TraceKind::Phase, tag,
-                          phase_trace0, native_trace_->now(), n_chains);
+                          phase_trace0, native_trace_->now(), n_chains.load());
   }
 }
 

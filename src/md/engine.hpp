@@ -118,12 +118,12 @@ class Engine {
 
   // --- Execution -------------------------------------------------------------
   // Native threads.  The pool may be any size and may be shared with other
-  // engines running concurrently: phase completion is tracked per-phase
-  // through a JobHandle (never pool-global), and the energy bits depend only
-  // on config.n_threads (which fixes the task decomposition and the
-  // accumulation-slot serial chains), never on which — or how many — workers
-  // execute them.  config.n_threads == pool.n_threads() reproduces the
-  // paper's dedicated-pool setup exactly.
+  // engines running concurrently: each phase is one pool.run_phase
+  // fork-join on its own slot (never pool-global), and the energy bits
+  // depend only on config.n_threads (which fixes the task decomposition and
+  // the accumulation-slot serial chains), never on which — or how many —
+  // threads execute them, this caller included.  config.n_threads ==
+  // pool.n_threads() reproduces the paper's dedicated-pool setup exactly.
   void run_native(parallel::FixedThreadPool& pool, int n_steps);
   // Single-threaded in-process execution (reference / tests).
   void run_inline(int n_steps);

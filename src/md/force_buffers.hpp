@@ -68,6 +68,24 @@ class ForceBuffers {
     return force_[static_cast<std::size_t>(worker)][static_cast<std::size_t>(atom)];
   }
 
+  // One slot's scatter target with its base pointers loaded once.  A pair
+  // loop calling force() per pair reloads them after every touch mark: the
+  // mark is a byte store, which may alias anything.  Copies of the two
+  // pointers held in locals cannot be aliased, so the loop keeps them in
+  // registers.  at() is force() for this slot: same mark, same entry.
+  struct Slot {
+    Vec3* force;
+    std::uint8_t* touched;
+    [[nodiscard]] Vec3& at(int atom) const {
+      touched[atom >> kBlockShift] = 1;
+      return force[atom];
+    }
+  };
+  [[nodiscard]] Slot slot(int worker) {
+    return {force_[static_cast<std::size_t>(worker)].data(),
+            touched_.data() + static_cast<std::size_t>(worker) * touched_stride_};
+  }
+
   // Reduction-facing access: reads/zeroes without setting marks.
   [[nodiscard]] Vec3& force_raw(int worker, int atom) {
     return force_[static_cast<std::size_t>(worker)][static_cast<std::size_t>(atom)];

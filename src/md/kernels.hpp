@@ -257,6 +257,7 @@ void lj_row_avx2_impl(const MolecularSystem& sys, const NeighborList& nlist, con
   const double* shift_row = lj.shift_row(ti);
   const int* row = nlist.begin(i);
   const int n = nlist.count(i);
+  const ForceBuffers::Slot out = buf.slot(worker);
 
   const __m256d vxix = _mm256_set1_pd(xi.x);
   const __m256d vxiy = _mm256_set1_pd(xi.y);
@@ -329,7 +330,7 @@ void lj_row_avx2_impl(const MolecularSystem& sys, const NeighborList& nlist, con
     const int js[4] = {j0, j1, j2, j3};
     for (int l = 0; l < 4; ++l) {
       acc = _mm256_add_pd(acc, pair[l]);
-      Vec3& fj = buf.force(worker, js[l]);
+      Vec3& fj = out.at(js[l]);
       _mm_storeu_pd(&fj.x, _mm_sub_pd(_mm_loadu_pd(&fj.x), _mm256_castpd256_pd128(pair[l])));
       fj.z -= _mm_cvtsd_f64(_mm256_extractf128_pd(pair[l], 1));
     }
@@ -337,7 +338,7 @@ void lj_row_avx2_impl(const MolecularSystem& sys, const NeighborList& nlist, con
 
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, acc);
-  buf.force(worker, i) += Vec3{lanes[0], lanes[1], lanes[2]};
+  out.at(i) += Vec3{lanes[0], lanes[1], lanes[2]};
   buf.add_pe(worker, lanes[3]);
 }
 
@@ -509,6 +510,8 @@ inline void coulomb_row_avx2(const MolecularSystem& sys, const PackedCharges& pa
   const double* __restrict py = packed.y.data();
   const double* __restrict pz = packed.z.data();
   const double* __restrict pq = packed.q.data();
+  const int* cidx = charged.data();
+  const ForceBuffers::Slot out = buf.slot(worker);
   int cj = ci + 1;
   const __m256d vxix = _mm256_set1_pd(xi.x);
   const __m256d vxiy = _mm256_set1_pd(xi.y);
@@ -560,7 +563,7 @@ inline void coulomb_row_avx2(const MolecularSystem& sys, const PackedCharges& pa
       const __m128d f2 = _mm_loadu_pd(a_xy + 2 * t);
       fixy = _mm_add_pd(fixy, f2);
       fi.z += a_fz[t];
-      Vec3& fj = buf.force(worker, charged[static_cast<std::size_t>(cj + t)]);
+      Vec3& fj = out.at(cidx[cj + t]);
       _mm_storeu_pd(&fj.x, _mm_sub_pd(_mm_loadu_pd(&fj.x), f2));
       fj.z -= a_fz[t];
       pe += a_e[t];
@@ -736,8 +739,14 @@ void reduce_chunk_sparse(MolecularSystem& sys, const CostTable& costs, ForceBuff
   auto& acc = sys.accelerations();
   const int workers = buf.n_workers();
   // Touched-slot lists are per block, not per atom: one bitmap scan covers
-  // kBlockAtoms atoms.
-  std::vector<int> touched(static_cast<std::size_t>(workers));
+  // kBlockAtoms atoms.  The list is kept per thread and only ever grows, so
+  // a reduce task allocates nothing once its thread has seen the slot count.
+  // (A fixed 64-entry array would not do: a Static engine has one slot per
+  // thread, however many threads that is.)
+  thread_local std::vector<int> touched;
+  if (touched.size() < static_cast<std::size_t>(workers)) {
+    touched.resize(static_cast<std::size_t>(workers));
+  }
   int i = begin;
   while (i < end) {
     const int block = i >> ForceBuffers::kBlockShift;

@@ -4,11 +4,11 @@
 //
 // Splits [0, n) into `n_chunks` index-contiguous ranges with the same
 // (n * k) / C arithmetic the engine's task decomposition uses, and runs
-// body(chunk, begin, end) for every chunk — on `pool` when one is given,
-// inline otherwise.  Completion is tracked through a JobHandle, so the
-// barrier is shared-pool safe (other tenants' traffic is neither waited on
-// nor able to starve it) and a throwing chunk surfaces as ContractError here
-// instead of hanging the wait.
+// body(chunk, begin, end) for every chunk — as one FixedThreadPool::run_phase
+// when a pool is given (chunk c is item c, so PerThread runs it on worker
+// c % pool width), inline otherwise.  The phase barrier is shared-pool safe
+// (other tenants' traffic is neither waited on nor able to starve it) and a
+// throwing chunk surfaces as ContractError here instead of hanging the wait.
 //
 // The contract callers must honour: the algorithm's OUTPUT must not depend
 // on the chunk count.  Every rebuild-pipeline user satisfies it by
@@ -20,10 +20,7 @@
 #pragma once
 
 #include <algorithm>
-#include <string>
-#include <utility>
 
-#include "common/require.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mwx::parallel {
@@ -39,18 +36,7 @@ void for_chunks(FixedThreadPool* pool, int n_chunks, long long n, Body&& body) {
     }
     return;
   }
-  JobHandle job;
-  const int workers = pool->n_threads();
-  for (int c = 0; c < chunks; ++c) {
-    const long long begin = n * c / chunks;
-    const long long end = n * (c + 1) / chunks;
-    pool->submit_to(c % workers, [&body, c, begin, end] { body(c, begin, end); }, job);
-  }
-  job.wait();
-  // The message is built only on failure: this runs on every rebuild pass.
-  if (!job.ok()) {
-    require(false, "chunked rebuild task failed: " + job.error());
-  }
+  pool->run_phase(chunks, [&](int c) { body(c, n * c / chunks, n * (c + 1) / chunks); });
 }
 
 }  // namespace mwx::parallel

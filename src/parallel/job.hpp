@@ -24,10 +24,14 @@
 // its own task chains under its phase tags, so the executor never charges
 // untagged time to a worker.
 //
+// Handles serve generic tasks.  The engine's phases and parallel::for_chunks
+// do not use them: a barriered phase is one FixedThreadPool::run_phase
+// fork-join, with no per-task submit and no per-task completion monitor.
+//
 // wait() follows the pool's spin-then-park policy (parallel/spin_wait.hpp):
-// it spins on an atomic pending count before parking on the monitor, so the
-// engine's phase barrier returns as soon as the last chain finishes instead
-// of paying a condition-variable wakeup per phase.
+// it spins on an atomic pending count before parking on the monitor, so it
+// returns as soon as the last task finishes instead of paying a
+// condition-variable wakeup.
 #pragma once
 
 #include <atomic>

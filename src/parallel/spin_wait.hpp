@@ -1,10 +1,11 @@
 // Spin-then-park: the one wait policy of the native executor.
 //
-// Every blocking wait in the pool — a worker with nothing to run
-// (TaskQueue::pop, the work-stealing idle loop), a thread waiting on a
-// JobHandle (the engine's phase barrier, parallel::for_chunks, the serve
-// drivers), FixedThreadPool::quiesce() — first spins on an atomic predicate
-// for up to kSpinBudget and only then parks on its condition variable.  A
+// Every blocking wait in the pool — a worker with nothing to run or claim
+// (the pool's idle loop), a run_phase caller waiting for its phase's last
+// item (the engine's phase barrier, parallel::for_chunks), a thread waiting
+// on a JobHandle, FixedThreadPool::quiesce() — first spins on an atomic
+// predicate for up to kSpinBudget and only then parks on its condition
+// variable; TaskQueue::pop, off the pool's path, waits the same way.  A
 // timestep is a handful of sub-millisecond phases separated by barriers; a
 // parked thread takes tens to hundreds of microseconds to wake, so parking at
 // every barrier turns that wake latency into idle workers and phase overhead.

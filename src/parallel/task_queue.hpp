@@ -5,11 +5,15 @@
 // (Section II-B).  The pool supports both configurations.  The queue itself
 // is a mutex-protected deque, not a lock-free design, so the single queue's
 // contention is the paper's.  What differs from a Java executor's
-// LinkedBlockingQueue is how an idle consumer waits: pop() spins on an
-// atomic copy of the task count (try_lock only once it reads non-zero) for
-// up to kSpinBudget before parking on the condition variable
-// (parallel/spin_wait.hpp), so a worker is still awake when the next phase's
-// task arrives.
+// LinkedBlockingQueue is how an idle consumer waits: it polls an atomic copy
+// of the task count (has_tasks(), try_lock only once it reads non-zero) for
+// up to kSpinBudget before parking (parallel/spin_wait.hpp), so it is still
+// awake when the next task arrives.  The pool's workers poll has_tasks() in
+// their shared idle loop, which also watches run_phase's slots, take with
+// try_pop() and park on the pool's monitor.  pop() is the queue's own
+// blocking wait for standalone consumers; it is not on the pool's path, and
+// push() touches the queue's condition variable only while a pop() is
+// parked on it.
 #pragma once
 
 #include <atomic>
@@ -38,13 +42,14 @@ class TaskQueue {
       if (closed_.load(std::memory_order_relaxed)) return false;
       tasks_.push_back(std::move(task));
       count_.store(tasks_.size(), std::memory_order_relaxed);
+      if (parked_ == 0) return true;
     }
     cv_.notify_one();
     return true;
   }
 
   // Blocks for a task; returns nullopt once the queue is closed and drained.
-  // Spins first (see the header comment), then parks.
+  // Spins first (see the header comment), then parks.  Not used by the pool.
   std::optional<Task> pop() {
     std::optional<Task> task;
     bool done = false;
@@ -60,7 +65,9 @@ class TaskQueue {
     });
     if (ready) return task;
     std::unique_lock lock(mutex_);
+    ++parked_;
     cv_.wait(lock, [this] { return closed_.load(std::memory_order_relaxed) || !tasks_.empty(); });
+    --parked_;
     take_locked(task);
     return task;
   }
@@ -82,6 +89,9 @@ class TaskQueue {
     }
     cv_.notify_all();
   }
+
+  // Lock-free hint for a spinning consumer: true when a task may be waiting.
+  [[nodiscard]] bool has_tasks() const { return count_.load(std::memory_order_relaxed) != 0; }
 
   [[nodiscard]] std::size_t size() const {
     std::lock_guard lock(mutex_);
@@ -107,6 +117,7 @@ class TaskQueue {
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
+  int parked_ = 0;  // pop() calls waiting on cv_, under mutex_
   std::deque<Task> tasks_;
   // Written only under mutex_; read without it as the spinning consumers'
   // hint (the mutex still orders the task hand-off itself).

@@ -1,6 +1,8 @@
 #include "parallel/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <exception>
 #include <memory>
 #include <string>
@@ -27,31 +29,40 @@ FixedThreadPool::FixedThreadPool(ThreadPoolConfig config) : config_(std::move(co
     deques_.reserve(static_cast<std::size_t>(config_.n_threads));
     for (int i = 0; i < config_.n_threads; ++i) deques_.push_back(std::make_unique<StealDeque>());
   }
+  const int n = config_.n_threads;
+  claim_words_ = (n + 31) / 32;
+  max_claims_ = n * (32 * claim_words_ / n);
+  own_claims_.assign(static_cast<std::size_t>(n * claim_words_), 0);
+  for (int u = 0; u < max_claims_; ++u) {
+    own_claims_[static_cast<std::size_t>(u % n * claim_words_ + u / 32)] |= 1u << (u % 32);
+  }
+  for (PhaseSlot& slot : slots_) {
+    if (claim_words_ > 1) {
+      slot.more = std::make_unique<std::atomic<std::uint64_t>[]>(claim_words_ - 1);
+    }
+  }
   threads_.reserve(static_cast<std::size_t>(config_.n_threads));
   for (int i = 0; i < config_.n_threads; ++i) {
-    threads_.emplace_back([this, i] {
-      config_.queue_mode == QueueMode::WorkStealing ? worker_main_stealing(i) : worker_main(i);
-    });
+    threads_.emplace_back([this, i] { worker_main(i); });
   }
 }
 
 FixedThreadPool::~FixedThreadPool() { shutdown(); }
 
-TaskQueue& FixedThreadPool::queue_for(int worker) {
+TaskQueue& FixedThreadPool::queue_for(int worker) const {
   return config_.queue_mode == QueueMode::Single ? *queues_.front()
                                                  : *queues_[static_cast<std::size_t>(worker)];
 }
 
-void FixedThreadPool::submit(Task task) {
-  int target = 0;
-  if (config_.queue_mode != QueueMode::Single) {
-    target = t_worker_pool == this
-                 ? t_worker_index  // keep locally spawned work on the spawner
-                 : static_cast<int>(round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                                    static_cast<std::uint64_t>(config_.n_threads));
-  }
-  submit_to(target, std::move(task));
+int FixedThreadPool::next_target() {
+  if (config_.queue_mode == QueueMode::Single) return 0;
+  return t_worker_pool == this
+             ? t_worker_index  // keep locally spawned work on the spawner
+             : static_cast<int>(round_robin_.fetch_add(1, std::memory_order_relaxed) %
+                                static_cast<std::uint64_t>(config_.n_threads));
 }
+
+void FixedThreadPool::submit(Task task) { submit_to(next_target(), std::move(task)); }
 
 namespace {
 // Wraps a task so its completion (and any failure, message included) is
@@ -75,14 +86,7 @@ Task wrap_for_job(std::shared_ptr<detail::JobState> state, Task task) {
 }  // namespace
 
 void FixedThreadPool::submit(Task task, const JobHandle& job) {
-  int target = 0;
-  if (config_.queue_mode != QueueMode::Single) {
-    target = t_worker_pool == this
-                 ? t_worker_index
-                 : static_cast<int>(round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                                    static_cast<std::uint64_t>(config_.n_threads));
-  }
-  submit_to(target, std::move(task), job);
+  submit_to(next_target(), std::move(task), job);
 }
 
 void FixedThreadPool::submit_to(int worker, Task task, const JobHandle& job) {
@@ -109,24 +113,15 @@ void FixedThreadPool::submit_to(int worker, Task task) {
 }
 
 void FixedThreadPool::enqueue(int worker, Task task) {
-  if (config_.queue_mode == QueueMode::WorkStealing) {
-    if (t_worker_pool == this && t_worker_index == worker) {
-      // Owner push: lock-free bottom push onto the worker's own deque.
-      deques_[static_cast<std::size_t>(worker)]->push(std::move(task));
-    } else if (!queues_[static_cast<std::size_t>(worker)]->push(std::move(task))) {
-      submitted_.fetch_sub(1, std::memory_order_relaxed);
-      require(false, "submit after shutdown");
-    }
-    // Lock-then-notify so a worker between its idle scan and wait() cannot
-    // miss the wakeup.
-    { std::lock_guard lock(sleep_mutex_); }
-    sleep_cv_.notify_all();
-    return;
-  }
-  if (!queue_for(worker).push(std::move(task))) {
+  if (config_.queue_mode == QueueMode::WorkStealing && t_worker_pool == this &&
+      t_worker_index == worker) {
+    // Owner push: lock-free bottom push onto the worker's own deque.
+    deques_[static_cast<std::size_t>(worker)]->push(std::move(task));
+  } else if (!queue_for(worker).push(std::move(task))) {
     submitted_.fetch_sub(1, std::memory_order_relaxed);
     require(false, "submit after shutdown");
   }
+  wake_parked();
 }
 
 void FixedThreadPool::run_one(Task task) {
@@ -153,6 +148,55 @@ void FixedThreadPool::note_failure(const char* what) {
   if (last_error_.empty()) last_error_ = what;
 }
 
+void FixedThreadPool::wake_parked() {
+  // Pairs with the fence in wait_until: either the parked thread's check
+  // sees what the caller just published, or the caller sees it parked.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_relaxed) == 0) return;
+  { std::lock_guard lock(sleep_mutex_); }
+  sleep_cv_.notify_all();
+}
+
+template <typename Ready>
+void FixedThreadPool::wait_until(Ready&& ready) {
+  if (spin_until(ready)) return;
+  std::unique_lock lock(sleep_mutex_);
+  parked_.fetch_add(1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  sleep_cv_.wait(lock, ready);
+  parked_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+bool FixedThreadPool::has_task(int worker) const {
+  if (config_.queue_mode == QueueMode::WorkStealing) {
+    // Some task is still sitting in a deque or inbox.
+    return submitted_.load(std::memory_order_acquire) > taken_.load(std::memory_order_acquire);
+  }
+  return queue_for(worker).has_tasks();
+}
+
+std::optional<Task> FixedThreadPool::take_task(int index) {
+  if (config_.queue_mode != QueueMode::WorkStealing) return queue_for(index).try_pop();
+  // 1. Own deque (lock-free LIFO pop), refilling it from the inbox.
+  StealDeque& own = *deques_[static_cast<std::size_t>(index)];
+  std::optional<Task> task = own.pop();
+  if (!task) {
+    while (auto moved = queues_[static_cast<std::size_t>(index)]->try_pop()) {
+      own.push(std::move(*moved));
+    }
+    task = own.pop();
+  }
+  // 2. Steal: oldest task from a peer's deque, else raid its inbox.
+  const int n = config_.n_threads;
+  for (int k = 1; k < n && !task; ++k) {
+    const std::size_t victim = static_cast<std::size_t>((index + k) % n);
+    task = deques_[victim]->steal();
+    if (!task) task = queues_[victim]->try_pop();
+    if (task) steals_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return task;
+}
+
 void FixedThreadPool::worker_main(int index) {
   t_worker_index = index;
   t_worker_pool = this;
@@ -160,62 +204,192 @@ void FixedThreadPool::worker_main(int index) {
     pin_current_thread(config_.pin_masks[static_cast<std::size_t>(index) %
                                          config_.pin_masks.size()]);
   }
-  TaskQueue& q = queue_for(index);
-  while (auto task = q.pop()) {
-    taken_.fetch_add(1, std::memory_order_relaxed);
-    run_one(std::move(*task));
-  }
-}
-
-void FixedThreadPool::worker_main_stealing(int index) {
-  t_worker_index = index;
-  t_worker_pool = this;
-  if (!config_.pin_masks.empty()) {
-    pin_current_thread(config_.pin_masks[static_cast<std::size_t>(index) %
-                                         config_.pin_masks.size()]);
-  }
-  StealDeque& own = *deques_[static_cast<std::size_t>(index)];
-  TaskQueue& inbox = *queues_[static_cast<std::size_t>(index)];
-  const int n = config_.n_threads;
-
+  const auto work_or_closing = [this, index] {
+    return closing_.load(std::memory_order_acquire) || has_task(index) || claimable(index);
+  };
   for (;;) {
-    // 1. Own deque (lock-free LIFO pop), refilling it from the inbox.
-    std::optional<Task> task = own.pop();
-    if (!task) {
-      while (auto moved = inbox.try_pop()) own.push(std::move(*moved));
-      task = own.pop();
-    }
-    // 2. Steal: oldest task from a peer's deque, else raid its inbox.
-    if (!task) {
-      for (int k = 1; k < n && !task; ++k) {
-        const std::size_t victim = static_cast<std::size_t>((index + k) % n);
-        task = deques_[victim]->steal();
-        if (!task) task = queues_[victim]->try_pop();
-        if (task) steals_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (task) {
+    // Phase items first: a caller is waiting on each of them.
+    if (serve_phases(index)) continue;
+    if (std::optional<Task> task = take_task(index)) {
       taken_.fetch_add(1, std::memory_order_relaxed);
       run_one(std::move(*task));
       continue;
     }
-    // 3. Nothing anywhere: exit if draining is done, otherwise wait until a
-    // submission (or shutdown) arrives — spinning first, then parking.
-    // `submitted_ > taken_` means some task is still sitting in a deque or
-    // inbox — rescan rather than sleep.
-    const auto work_or_closing = [this] {
-      return closing_.load(std::memory_order_acquire) ||
-             submitted_.load(std::memory_order_acquire) >
-                 taken_.load(std::memory_order_acquire);
-    };
-    if (!closing_.load(std::memory_order_acquire) && spin_until(work_or_closing)) continue;
-    std::unique_lock lock(sleep_mutex_);
-    if (closing_.load(std::memory_order_acquire) &&
-        submitted_.load(std::memory_order_acquire) == taken_.load(std::memory_order_acquire)) {
-      return;
+    if (closing_.load(std::memory_order_seq_cst)) {
+      // Draining: leave once no queued task and no open phase is left.
+      if (!has_task(index) && open_slots_.load(std::memory_order_seq_cst) == 0) return;
+      std::this_thread::yield();
+      continue;
     }
-    sleep_cv_.wait(lock, work_or_closing);
+    wait_until(work_or_closing);
   }
+}
+
+// --- run_phase ---------------------------------------------------------------
+
+int FixedThreadPool::acquire_slot() {
+  std::uint32_t free = free_slots_.load(std::memory_order_relaxed);
+  while (free != 0) {
+    const std::uint32_t bit = free & (~free + 1);
+    if (free_slots_.compare_exchange_weak(free, free & ~bit, std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+      return std::countr_zero(bit);
+    }
+  }
+  return -1;
+}
+
+namespace {
+// Clears one set bit of `allowed` in the claim word (its lowest, or its
+// highest when `highest`) and returns its index, or -1 if none is set.
+int take_bit(std::atomic<std::uint64_t>& claim, std::uint32_t allowed, bool highest) {
+  std::uint64_t word = claim.load(std::memory_order_acquire);
+  for (;;) {
+    const std::uint32_t left = static_cast<std::uint32_t>(word) & allowed;
+    if (left == 0) return -1;
+    const int bit = highest ? 31 - std::countl_zero(left) : std::countr_zero(left);
+    if (claim.compare_exchange_weak(word, word & ~(std::uint64_t{1} << bit),
+                                    std::memory_order_acq_rel, std::memory_order_acquire)) {
+      return bit;
+    }
+  }
+}
+}  // namespace
+
+int FixedThreadPool::try_claim(PhaseSlot& slot, int me) {
+  // Once a claim succeeds the record is stable: the phase cannot end before
+  // the claim has run.
+  if (config_.queue_mode == QueueMode::Single) {
+    std::atomic<std::uint64_t>& claim = slot.word(0);
+    std::uint64_t word = claim.load(std::memory_order_acquire);
+    while (static_cast<std::uint32_t>(word) != 0) {
+      if (claim.compare_exchange_weak(word, word - 1, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        return slot.n_claims - static_cast<int>(static_cast<std::uint32_t>(word));
+      }
+    }
+    return -1;
+  }
+  for (int k = 0; me >= 0 && k < claim_words_; ++k) {
+    if (const int bit = take_bit(slot.word(k), own_claims(me, k), false); bit >= 0) {
+      return 32 * k + bit;
+    }
+  }
+  if (config_.queue_mode == QueueMode::WorkStealing) {
+    // Take the claim its owner would reach last.
+    for (int k = claim_words_ - 1; k >= 0; --k) {
+      if (const int bit = take_bit(slot.word(k), ~0u, true); bit >= 0) {
+        steals_.fetch_add(1, std::memory_order_relaxed);
+        return 32 * k + bit;
+      }
+    }
+  }
+  return -1;
+}
+
+void FixedThreadPool::run_claim(PhaseSlot& slot, int claim) {
+  // Copies the message while the exception is still alive.
+  const auto note = [&slot](const char* what) {
+    std::lock_guard lock(slot.error_mutex);
+    if (!slot.failed) slot.error = what;
+    slot.failed = true;
+  };
+  for (int item = claim; item < slot.n_items; item += slot.n_claims) {
+    try {
+      slot.fn(slot.body, item);
+    } catch (const std::exception& e) {
+      note(e.what());
+    } catch (...) {
+      note("unknown exception");
+    }
+  }
+  if (slot.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) wake_parked();
+}
+
+bool FixedThreadPool::claimable(int me) const {
+  for (std::uint32_t open = open_slots_.load(std::memory_order_acquire); open != 0;
+       open &= open - 1) {
+    const PhaseSlot& slot = slots_[static_cast<std::size_t>(std::countr_zero(open))];
+    for (int k = 0; k < claim_words_; ++k) {
+      const auto state = static_cast<std::uint32_t>(slot.word(k).load(std::memory_order_acquire));
+      if ((state & (config_.queue_mode == QueueMode::PerThread ? own_claims(me, k) : ~0u)) != 0) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool FixedThreadPool::serve_phases(int me) {
+  bool ran = false;
+  for (std::uint32_t open = open_slots_.load(std::memory_order_acquire); open != 0;
+       open &= open - 1) {
+    PhaseSlot& slot = slots_[static_cast<std::size_t>(std::countr_zero(open))];
+    for (int c; (c = try_claim(slot, me)) >= 0;) {
+      run_claim(slot, c);
+      ran = true;
+    }
+  }
+  return ran;
+}
+
+void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body, bool caller_runs) {
+  if (n_items <= 0) return;
+  require(!closing_.load(std::memory_order_acquire), "run_phase after shutdown");
+  const int me = t_worker_pool == this ? t_worker_index : -1;
+  int s;
+  while ((s = acquire_slot()) < 0) {
+    if (me < 0 || !serve_phases(me)) std::this_thread::yield();
+  }
+
+  PhaseSlot& slot = slots_[static_cast<std::size_t>(s)];
+  const std::uint32_t bit = 1u << s;
+  const bool single = config_.queue_mode == QueueMode::Single;
+  slot.fn = fn;
+  slot.body = body;
+  slot.n_items = n_items;
+  slot.n_claims = single ? n_items : std::min(n_items, max_claims_);
+  slot.failed = false;
+  slot.error.clear();
+  slot.pending.store(slot.n_claims, std::memory_order_relaxed);
+  // Open the slot before publishing, then re-check shutdown: a draining
+  // worker leaves only when it sees no open slot, so either it sees this one
+  // or this caller sees the shutdown and withdraws the unpublished phase.
+  open_slots_.fetch_or(bit, std::memory_order_seq_cst);
+  if (closing_.load(std::memory_order_seq_cst)) {
+    open_slots_.fetch_and(~bit, std::memory_order_seq_cst);
+    free_slots_.fetch_or(bit, std::memory_order_release);
+    require(false, "run_phase after shutdown");
+  }
+  const std::uint64_t tag = ((slot.word(0).load(std::memory_order_relaxed) >> 32) + 1) << 32;
+  if (single) {
+    slot.word(0).store(tag | static_cast<std::uint32_t>(n_items), std::memory_order_release);
+  } else {
+    for (int k = 0; k < claim_words_; ++k) {
+      const int claims = std::clamp(slot.n_claims - 32 * k, 0, 32);
+      slot.word(k).store(tag | ((std::uint64_t{1} << claims) - 1), std::memory_order_release);
+    }
+  }
+  wake_parked();
+
+  if (caller_runs) {
+    for (int c; (c = try_claim(slot, me)) >= 0;) run_claim(slot, c);
+  }
+  const auto done = [&slot] { return slot.pending.load(std::memory_order_acquire) == 0; };
+  if (me < 0) {
+    wait_until(done);
+  } else {
+    // A worker waiting on its own pool keeps serving other phases: an outer
+    // phase's PerThread item may be waiting for exactly this worker.
+    while (!done()) {
+      if (!serve_phases(me)) wait_until([&] { return done() || claimable(me); });
+    }
+  }
+  const bool failed = slot.failed;
+  std::string error = failed ? std::move(slot.error) : std::string();
+  open_slots_.fetch_and(~bit, std::memory_order_seq_cst);
+  free_slots_.fetch_or(bit, std::memory_order_release);
+  if (failed) require(false, "phase item failed: " + error);
 }
 
 void FixedThreadPool::quiesce() {
@@ -238,7 +412,7 @@ void FixedThreadPool::shutdown() {
   for (auto& q : queues_) q->close();
   {
     std::lock_guard sleep_lock(sleep_mutex_);
-    closing_.store(true, std::memory_order_release);
+    closing_.store(true, std::memory_order_seq_cst);
   }
   sleep_cv_.notify_all();
   for (auto& t : threads_) {

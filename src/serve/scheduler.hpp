@@ -14,8 +14,9 @@
 //        │   record_preemption, re-enqueue the same ticket
 //        ▼
 //   1..n_pools FixedThreadPools (shards) — shared by every concurrent job;
-//   per-phase completion rides JobHandles, so tenants cannot starve or
-//   corrupt each other (the re-entrancy refactor this layer required).
+//   each engine phase is its own run_phase fork-join on its own slot, so
+//   tenants cannot starve or corrupt each other (the re-entrancy refactor
+//   this layer required).
 //
 // Fairness is start-time fair queueing over a virtual clock: each tenant
 // accumulates virtual time  cost / weight  per dispatched *quantum* (cost ∝
