@@ -1,13 +1,12 @@
 // Micro-benchmarks (google-benchmark) of the individual substrates: force
-// kernels, neighbor rebuild, reduction, synchronization primitives, queues,
-// the cache model and the monitors.  These measure the *native* C++ code on
+// kernels, neighbor rebuild, reduction, synchronization primitives, phase
+// dispatch, the cache model and the monitors.  These measure the *native* C++ code on
 // the host, complementing the simulated end-to-end benches.
 #include <benchmark/benchmark.h>
 
 #include "md/engine.hpp"
 #include "parallel/barrier.hpp"
 #include "parallel/latch.hpp"
-#include "parallel/task_queue.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perf/monitor.hpp"
 #include "sim/cache.hpp"
@@ -87,26 +86,6 @@ void BM_BarrierSingleParty(benchmark::State& state) {
   for (auto _ : state) barrier.arrive_and_wait();
 }
 BENCHMARK(BM_BarrierSingleParty);
-
-void BM_TaskQueuePushPop(benchmark::State& state) {
-  parallel::TaskQueue q;
-  for (auto _ : state) {
-    q.push([] {});
-    auto t = q.try_pop();
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(BM_TaskQueuePushPop);
-
-void BM_ThreadPoolRoundTrip(benchmark::State& state) {
-  parallel::FixedThreadPool pool({.n_threads = 2});
-  for (auto _ : state) {
-    parallel::CountDownLatch latch(1);
-    pool.submit([&] { latch.count_down(); });
-    latch.await();
-  }
-}
-BENCHMARK(BM_ThreadPoolRoundTrip);
 
 // One empty 4-item phase on a 4-thread pool: the fork-join cost every
 // engine phase and every for_chunks pass pays on top of its work.  The

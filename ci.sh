@@ -3,15 +3,15 @@
 # suite); smoke runs of the locality, counters/report, planner, serve and
 # 100k-atom rebuild emitters and of the repository benchmark (bench/e2e);
 # the forced-scalar preset's full suite; the tsan preset's concurrency suites
-# (StealDeque/ThreadPool/TaskQueue/QueueModes/Latch/Barrier/TraceRing/
-# JobHandle/ForChunks/Reentrancy/Serve/SceneCache/RebuildParallel/
-# StepPipeline/NeighborBuild/PhaseDispatch), which pin the lock-free
-# executor paths (run_phase's claim word among them), the
-# idempotent-shutdown fix, the trace ring's merge-at-read protocol, the
+# (ThreadPool/Latch/Barrier/TraceRing/ForChunks/Reentrancy/Serve/
+# SceneCache/RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch, and
+# the engine's AllQueueModes bit-identity test), which pin the lock-free
+# pool paths (run_phase's claim word and slot table, the spin-then-park
+# waits), the shutdown drain, the trace ring's merge-at-read protocol, the
 # chunked fan-out, the re-entrant shared-pool/serve stack, the chunked
 # rebuild pipeline, the fused, pipelined step phases and the per-chunk
 # neighbor-row stashes; and the asan preset's kernel/force/engine/reduction/
-# rebuild/locality/scene/executor/chunked-fan-out/step-pipeline/
+# rebuild/locality/scene/pool/chunked-fan-out/step-pipeline/
 # neighbor-build suites.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -247,16 +247,17 @@ cmake --preset tsan
 cmake --build --preset tsan --parallel "${jobs}"
 ctest --preset tsan -j "${jobs}"
 
-echo "== asan: kernel/force/engine/locality/scene/executor suites (asan preset) =="
+echo "== asan: kernel/force/engine/locality/scene/pool suites (asan preset) =="
 # ASan + UBSan (no recovery): the LJ kernel reads CSR rows four entries at a
 # time and the Coulomb block reads the packed arrays eight at a time; any
 # read past a row, a buffer or a lane mask's intent fails here.  The
 # SparseReduce and RebuildParallel suites run the reduction at 300 slots and
 # the chunked rebuild passes down to empty and single-atom inputs.  The
-# ThreadPool/JobHandle/TaskQueue/ForChunks/Reentrancy/PhaseDispatch suites
-# run the executor's spin-then-park waits, run_phase, the chunked fan-out
-# and the shared-pool stack under the same checks.  NeighborBuild runs the count kernel's stash
-# appends (including growth from empty) and the fill's row copies.
+# ThreadPool/ForChunks/Reentrancy/PhaseDispatch suites run the pool's
+# spin-then-park waits, run_phase's slot records, the chunked fan-out and
+# the shared-pool stack under the same checks.  NeighborBuild runs the count
+# kernel's stash appends (including growth from empty) and the fill's row
+# copies.
 cmake --preset asan
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
 ctest --preset asan -j "${jobs}"

@@ -1,14 +1,13 @@
-// Spin-then-park: the one wait policy of the native executor.
+// Spin-then-park: the one wait policy of the native pool.
 //
-// Every blocking wait in the pool — a worker with nothing to run or claim
-// (the pool's idle loop), a run_phase caller waiting for its phase's last
-// item (the engine's phase barrier, parallel::for_chunks), a thread waiting
-// on a JobHandle, FixedThreadPool::quiesce() — first spins on an atomic
-// predicate for up to kSpinBudget and only then parks on its condition
-// variable; TaskQueue::pop, off the pool's path, waits the same way.  A
-// timestep is a handful of sub-millisecond phases separated by barriers; a
-// parked thread takes tens to hundreds of microseconds to wake, so parking at
-// every barrier turns that wake latency into idle workers and phase overhead.
+// Both blocking waits in the pool — a worker with nothing to claim (the
+// pool's idle loop) and a run_phase caller waiting for its phase's last item
+// (the engine's phase barrier, parallel::for_chunks) — first spin on an
+// atomic predicate for up to kSpinBudget and only then park on the pool's
+// condition variable.  A timestep is a handful of sub-millisecond phases
+// separated by barriers; a parked thread takes tens to hundreds of
+// microseconds to wake, so parking at every barrier turns that wake latency
+// into idle workers and phase overhead.
 //
 //   * The budget is wall time, checked against steady_clock, not a count of
 //     pauses: one pause costs 10–140 cycles depending on the x86 generation.

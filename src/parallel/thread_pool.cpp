@@ -6,6 +6,7 @@
 #include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/require.hpp"
@@ -15,20 +16,13 @@ namespace mwx::parallel {
 
 namespace {
 thread_local int t_worker_index = -1;
-// Which pool the current thread belongs to: a worker of pool A submitting to
-// pool B must be treated as an external caller by B.
+// Which pool the current thread belongs to: a worker of pool A running a
+// phase on pool B must be treated as an external caller by B.
 thread_local const FixedThreadPool* t_worker_pool = nullptr;
 }  // namespace
 
 FixedThreadPool::FixedThreadPool(ThreadPoolConfig config) : config_(std::move(config)) {
   require(config_.n_threads > 0, "pool needs at least one thread");
-  const int n_queues = config_.queue_mode == QueueMode::Single ? 1 : config_.n_threads;
-  queues_.reserve(static_cast<std::size_t>(n_queues));
-  for (int i = 0; i < n_queues; ++i) queues_.push_back(std::make_unique<TaskQueue>());
-  if (config_.queue_mode == QueueMode::WorkStealing) {
-    deques_.reserve(static_cast<std::size_t>(config_.n_threads));
-    for (int i = 0; i < config_.n_threads; ++i) deques_.push_back(std::make_unique<StealDeque>());
-  }
   const int n = config_.n_threads;
   claim_words_ = (n + 31) / 32;
   max_claims_ = n * (32 * claim_words_ / n);
@@ -49,105 +43,6 @@ FixedThreadPool::FixedThreadPool(ThreadPoolConfig config) : config_(std::move(co
 
 FixedThreadPool::~FixedThreadPool() { shutdown(); }
 
-TaskQueue& FixedThreadPool::queue_for(int worker) const {
-  return config_.queue_mode == QueueMode::Single ? *queues_.front()
-                                                 : *queues_[static_cast<std::size_t>(worker)];
-}
-
-int FixedThreadPool::next_target() {
-  if (config_.queue_mode == QueueMode::Single) return 0;
-  return t_worker_pool == this
-             ? t_worker_index  // keep locally spawned work on the spawner
-             : static_cast<int>(round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                                static_cast<std::uint64_t>(config_.n_threads));
-}
-
-void FixedThreadPool::submit(Task task) { submit_to(next_target(), std::move(task)); }
-
-namespace {
-// Wraps a task so its completion (and any failure, message included) is
-// recorded on the job.  The exception is rethrown after the job is updated,
-// so the pool-level accounting in run_one (failed_, last_error_) still sees
-// it.
-Task wrap_for_job(std::shared_ptr<detail::JobState> state, Task task) {
-  return [state = std::move(state), task = std::move(task)] {
-    try {
-      task();
-    } catch (const std::exception& e) {
-      state->finish(e.what());
-      throw;
-    } catch (...) {
-      state->finish("unknown exception");
-      throw;
-    }
-    state->finish(nullptr);
-  };
-}
-}  // namespace
-
-void FixedThreadPool::submit(Task task, const JobHandle& job) {
-  submit_to(next_target(), std::move(task), job);
-}
-
-void FixedThreadPool::submit_to(int worker, Task task, const JobHandle& job) {
-  require(job.state_ != nullptr, "job handle is empty");
-  job.state_->on_submit();
-  try {
-    submit_to(worker, wrap_for_job(job.state_, std::move(task)));
-  } catch (...) {
-    // Rejected push (shutdown race): the task will never run, so it must not
-    // leave the job waiting.
-    job.state_->on_revoke();
-    throw;
-  }
-}
-
-void FixedThreadPool::submit_to(int worker, Task task) {
-  require(worker >= 0 && worker < config_.n_threads, "worker index out of range");
-  // Count before enqueueing so completed_ can never overtake submitted_ (a
-  // quiescing thread would wake between the two and miss the final notify);
-  // undo the count if the push is rejected so quiesce() is not left waiting
-  // on a task that never runs.
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  enqueue(worker, std::move(task));
-}
-
-void FixedThreadPool::enqueue(int worker, Task task) {
-  if (config_.queue_mode == QueueMode::WorkStealing && t_worker_pool == this &&
-      t_worker_index == worker) {
-    // Owner push: lock-free bottom push onto the worker's own deque.
-    deques_[static_cast<std::size_t>(worker)]->push(std::move(task));
-  } else if (!queue_for(worker).push(std::move(task))) {
-    submitted_.fetch_sub(1, std::memory_order_relaxed);
-    require(false, "submit after shutdown");
-  }
-  wake_parked();
-}
-
-void FixedThreadPool::run_one(Task task) {
-  try {
-    task();
-  } catch (const std::exception& e) {
-    // A throwing task must not kill the worker (the pool outlives any one
-    // task, like an ExecutorService).  The failure is counted, the first
-    // message is kept for last_error(), and the pool keeps serving.
-    note_failure(e.what());
-  } catch (...) {
-    note_failure("unknown exception");
-  }
-  completed_.fetch_add(1, std::memory_order_release);
-  // Lock-then-notify so a quiescing thread between its predicate check and
-  // wait() cannot miss the wakeup.
-  { std::lock_guard lock(quiesce_mutex_); }
-  quiesce_cv_.notify_all();
-}
-
-void FixedThreadPool::note_failure(const char* what) {
-  failed_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(error_mutex_);
-  if (last_error_.empty()) last_error_ = what;
-}
-
 void FixedThreadPool::wake_parked() {
   // Pairs with the fence in wait_until: either the parked thread's check
   // sees what the caller just published, or the caller sees it parked.
@@ -167,36 +62,6 @@ void FixedThreadPool::wait_until(Ready&& ready) {
   parked_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-bool FixedThreadPool::has_task(int worker) const {
-  if (config_.queue_mode == QueueMode::WorkStealing) {
-    // Some task is still sitting in a deque or inbox.
-    return submitted_.load(std::memory_order_acquire) > taken_.load(std::memory_order_acquire);
-  }
-  return queue_for(worker).has_tasks();
-}
-
-std::optional<Task> FixedThreadPool::take_task(int index) {
-  if (config_.queue_mode != QueueMode::WorkStealing) return queue_for(index).try_pop();
-  // 1. Own deque (lock-free LIFO pop), refilling it from the inbox.
-  StealDeque& own = *deques_[static_cast<std::size_t>(index)];
-  std::optional<Task> task = own.pop();
-  if (!task) {
-    while (auto moved = queues_[static_cast<std::size_t>(index)]->try_pop()) {
-      own.push(std::move(*moved));
-    }
-    task = own.pop();
-  }
-  // 2. Steal: oldest task from a peer's deque, else raid its inbox.
-  const int n = config_.n_threads;
-  for (int k = 1; k < n && !task; ++k) {
-    const std::size_t victim = static_cast<std::size_t>((index + k) % n);
-    task = deques_[victim]->steal();
-    if (!task) task = queues_[victim]->try_pop();
-    if (task) steals_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return task;
-}
-
 void FixedThreadPool::worker_main(int index) {
   t_worker_index = index;
   t_worker_pool = this;
@@ -205,19 +70,13 @@ void FixedThreadPool::worker_main(int index) {
                                          config_.pin_masks.size()]);
   }
   const auto work_or_closing = [this, index] {
-    return closing_.load(std::memory_order_acquire) || has_task(index) || claimable(index);
+    return closing_.load(std::memory_order_acquire) || claimable(index);
   };
   for (;;) {
-    // Phase items first: a caller is waiting on each of them.
     if (serve_phases(index)) continue;
-    if (std::optional<Task> task = take_task(index)) {
-      taken_.fetch_add(1, std::memory_order_relaxed);
-      run_one(std::move(*task));
-      continue;
-    }
     if (closing_.load(std::memory_order_seq_cst)) {
-      // Draining: leave once no queued task and no open phase is left.
-      if (!has_task(index) && open_slots_.load(std::memory_order_seq_cst) == 0) return;
+      // Draining: leave once no phase is open.
+      if (open_slots_.load(std::memory_order_seq_cst) == 0) return;
       std::this_thread::yield();
       continue;
     }
@@ -392,24 +251,13 @@ void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body, bool
   if (failed) require(false, "phase item failed: " + error);
 }
 
-void FixedThreadPool::quiesce() {
-  const auto drained = [this] {
-    return completed_.load(std::memory_order_acquire) ==
-           submitted_.load(std::memory_order_acquire);
-  };
-  if (spin_until(drained)) return;
-  std::unique_lock lock(quiesce_mutex_);
-  quiesce_cv_.wait(lock, drained);
-}
-
 void FixedThreadPool::shutdown() {
-  // The exchange makes concurrent shutdown() calls (or shutdown() racing the
-  // destructor) claim the teardown exactly once; the mutex makes the losers
-  // wait until the winner has joined every worker, so no caller can return
-  // and start destroying the pool while threads are still draining.
+  // The mutex makes concurrent shutdown() calls (or shutdown() racing the
+  // destructor) claim the teardown exactly once, and makes the losers wait
+  // until the winner has joined every worker, so no caller can return and
+  // start destroying the pool while threads are still draining.
   std::lock_guard lock(shutdown_mutex_);
-  if (shutdown_.exchange(true, std::memory_order_acq_rel)) return;
-  for (auto& q : queues_) q->close();
+  if (closing_.load(std::memory_order_relaxed)) return;
   {
     std::lock_guard sleep_lock(sleep_mutex_);
     closing_.store(true, std::memory_order_seq_cst);

@@ -21,9 +21,7 @@ BatchScheduler::BatchScheduler(SchedulerConfig config)
   for (int p = 0; p < config_.n_pools; ++p) {
     pools_.push_back(std::make_unique<parallel::FixedThreadPool>(parallel::ThreadPoolConfig{
         .n_threads = config_.threads_per_pool,
-        .queue_mode = config_.queue_mode,
-        .pin_masks = {},
-        .name_prefix = "mwx-serve-" + std::to_string(p)}));
+        .queue_mode = config_.queue_mode}));
   }
   shard_cost_.assign(static_cast<std::size_t>(config_.n_pools), 0.0);
   paused_ = config_.start_paused;

@@ -147,26 +147,3 @@ TEST(MachineEdgeTest, SingleTaskManyThreads) {
 
 }  // namespace
 }  // namespace mwx::md
-
-namespace mwx::parallel {
-namespace {
-
-TEST(ThreadPoolExceptionTest, ThrowingTaskDoesNotKillWorker) {
-  FixedThreadPool pool({.n_threads = 2});
-  std::atomic<int> after{0};
-  pool.submit([] { throw std::runtime_error("task failure"); });
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ++after; });
-  pool.quiesce();
-  EXPECT_EQ(after.load(), 10) << "pool must keep serving after a task throws";
-  EXPECT_EQ(pool.failed_tasks(), 1);
-}
-
-TEST(ThreadPoolExceptionTest, NoFailuresByDefault) {
-  FixedThreadPool pool({.n_threads = 1});
-  pool.submit([] {});
-  pool.quiesce();
-  EXPECT_EQ(pool.failed_tasks(), 0);
-}
-
-}  // namespace
-}  // namespace mwx::parallel

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -13,7 +13,6 @@
 #include "parallel/barrier.hpp"
 #include "parallel/chunked.hpp"
 #include "parallel/latch.hpp"
-#include "parallel/task_queue.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mwx::parallel {
@@ -114,61 +113,6 @@ TEST(BarrierTest, ReusableAcrossManyGenerations) {
   EXPECT_EQ(barrier.generation(), 100u);
 }
 
-TEST(TaskQueueTest, FifoOrder) {
-  TaskQueue q;
-  std::vector<int> order;
-  q.push([&] { order.push_back(1); });
-  q.push([&] { order.push_back(2); });
-  q.push([&] { order.push_back(3); });
-  EXPECT_EQ(q.size(), 3u);
-  while (auto t = q.try_pop()) (*t)();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(TaskQueueTest, CloseDrainsThenSignals) {
-  TaskQueue q;
-  q.push([] {});
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push([] {}));  // rejected after close
-  EXPECT_TRUE(q.pop().has_value());   // pending task still drains
-  EXPECT_FALSE(q.pop().has_value());  // then empty-closed
-}
-
-TEST(TaskQueueTest, PopBlocksUntilPush) {
-  TaskQueue q;
-  std::atomic<bool> got{false};
-  std::thread consumer([&] {
-    auto t = q.pop();
-    got = t.has_value();
-  });
-  q.push([] {});
-  consumer.join();
-  EXPECT_TRUE(got.load());
-}
-
-TEST(TaskQueueTest, MpmcStress) {
-  TaskQueue q;
-  constexpr int kProducers = 4, kPerProducer = 500;
-  std::atomic<int> executed{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) q.push([&] { ++executed; });
-    });
-  }
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (auto t = q.pop()) (*t)();
-    });
-  }
-  for (auto& t : threads) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(executed.load(), kProducers * kPerProducer);
-}
-
 TEST(ThreadPoolTest, RejectsZeroThreads) {
   EXPECT_THROW(FixedThreadPool({.n_threads = 0}), ContractError);
 }
@@ -176,22 +120,16 @@ TEST(ThreadPoolTest, RejectsZeroThreads) {
 TEST(ThreadPoolTest, ExecutesSubmittedTasks) {
   FixedThreadPool pool({.n_threads = 3});
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.quiesce();
+  pool.run_phase(100, [&](int) { ++count; }, /*caller_runs=*/false);
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, PerThreadQueuesRouteToOwner) {
   FixedThreadPool pool({.n_threads = 4, .queue_mode = QueueMode::PerThread});
   std::atomic<int> wrong{0};
-  CountDownLatch latch(4);
-  for (int w = 0; w < 4; ++w) {
-    pool.submit_to(w, [&, w] {
-      if (FixedThreadPool::current_worker() != w) ++wrong;
-      latch.count_down();
-    });
-  }
-  latch.await();
+  pool.run_phase(4, [&](int w) {
+    if (FixedThreadPool::current_worker() != w) ++wrong;
+  });
   EXPECT_EQ(wrong.load(), 0);
 }
 
@@ -220,8 +158,8 @@ TEST(ForChunks, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ForChunks, ChunkGoesToWorkerChunkModuloPoolWidth) {
-  // PerThread queues run a task on the worker it was submitted to, so the
-  // executing worker is the placement for_chunks chose.
+  // PerThread runs item c only on worker c % n_threads, so the executing
+  // worker is the placement for_chunks chose.
   FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::PerThread});
   std::vector<int> worker_of_chunk(8, -2);
   for_chunks(&pool, 8, 800, [&](int c, long long, long long) {
@@ -261,162 +199,180 @@ TEST(ForChunks, ThrowingChunkSurfacesAsContractErrorWithItsMessage) {
   EXPECT_EQ(ran.load(), 4);
 }
 
-TEST(ThreadPoolTest, SubmitToOutOfRangeThrows) {
-  FixedThreadPool pool({.n_threads = 2});
-  EXPECT_THROW(pool.submit_to(5, [] {}), ContractError);
-  EXPECT_THROW(pool.submit_to(-1, [] {}), ContractError);
-}
-
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
   FixedThreadPool pool({.n_threads = 2});
-  pool.submit([] {});
+  pool.run_phase(2, [](int) {});
   pool.shutdown();
   pool.shutdown();
 }
 
-TEST(ThreadPoolTest, QuiesceWaitsForAllWork) {
+TEST(ThreadPoolTest, PhaseWaitsForAllWork) {
   FixedThreadPool pool({.n_threads = 2});
   std::atomic<int> slow_done{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      ++slow_done;
-    });
-  }
-  pool.quiesce();
+  pool.run_phase(
+      8,
+      [&](int) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        ++slow_done;
+      },
+      /*caller_runs=*/false);
   EXPECT_EQ(slow_done.load(), 8);
 }
 
 TEST(ThreadPoolTest, WorkStealingExecutesAllTasks) {
   FixedThreadPool pool({.n_threads = 4, .queue_mode = QueueMode::WorkStealing});
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) pool.submit([&] { ++count; });
-  pool.quiesce();
-  EXPECT_EQ(count.load(), 1000);
-  EXPECT_EQ(pool.failed_tasks(), 0);
+  for (const bool caller_runs : {true, false}) {
+    std::atomic<int> count{0};
+    pool.run_phase(1000, [&](int) { ++count; }, caller_runs);
+    EXPECT_EQ(count.load(), 1000);
+  }
 }
 
-TEST(ThreadPoolTest, WorkStealingSubmitToIsAPreference) {
-  // Everything lands in worker 0's inbox; idle peers must steal the backlog
-  // rather than let it strand — the whole point of the third discipline.
+TEST(ThreadPoolTest, WorkStealingPreferredWorkerIsAPreference) {
+  // Worker 0 is held inside an item of an outer phase.  Claims that prefer
+  // it must be taken by its peers rather than strand behind it — the whole
+  // point of the third discipline.
   FixedThreadPool pool({.n_threads = 4, .queue_mode = QueueMode::WorkStealing});
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit_to(0, [&] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ++count;
-    });
-  }
-  pool.quiesce();
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_GT(pool.steals(), 0);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    while (!held.load()) {
+      pool.run_phase(
+          4,
+          [&](int) {
+            if (FixedThreadPool::current_worker() != 0 || held.exchange(true)) return;
+            while (!release.load()) std::this_thread::yield();
+          },
+          /*caller_runs=*/false);
+    }
+  });
+  while (!held.load()) std::this_thread::yield();
+  const long long steals_before = pool.steals();
+  std::atomic<int> ran{0};
+  std::atomic<int> on_worker_zero{0};
+  const auto body = [&](int) {
+    ++ran;
+    if (FixedThreadPool::current_worker() == 0) ++on_worker_zero;
+  };
+  // A one-item phase's only claim prefers worker 0; so do claims 0, 4, ...,
+  // 28 of a 32-item phase.
+  for (int phase = 0; phase < 50; ++phase) pool.run_phase(1, body, /*caller_runs=*/false);
+  pool.run_phase(32, body, /*caller_runs=*/false);
+  EXPECT_EQ(ran.load(), 50 + 32);
+  EXPECT_EQ(on_worker_zero.load(), 0);
+  EXPECT_GE(pool.steals() - steals_before, 50 + 8);
+  release.store(true);
+  holder.join();
 }
 
 TEST(ThreadPoolTest, WorkStealingNestedSubmitRuns) {
-  // A worker submitting from inside a task pushes onto its own deque.
+  // An item forks a phase on its own pool and waits for it.
   FixedThreadPool pool({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
   std::atomic<int> count{0};
-  pool.submit([&] {
-    ++count;
-    pool.submit([&] { ++count; });
-  });
-  pool.quiesce();
+  pool.run_phase(
+      1,
+      [&](int) {
+        ++count;
+        pool.run_phase(1, [&](int) { ++count; });
+      },
+      /*caller_runs=*/false);
   EXPECT_EQ(count.load(), 2);
 }
 
+// Starts a phase of `n` items on its own thread and returns once one item has
+// finished, so a shutdown() issued next finds the phase open.
+std::thread start_phase(FixedThreadPool& pool, int n, std::atomic<int>& count) {
+  std::thread caller([&pool, n, &count] {
+    pool.run_phase(
+        n,
+        [&count](int) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          ++count;
+        },
+        /*caller_runs=*/false);
+  });
+  while (count.load() == 0) std::this_thread::yield();
+  return caller;
+}
+
 TEST(ThreadPoolTest, WorkStealingShutdownDrainsQueuedWork) {
+  // shutdown() stops new phases but lets an open one finish.
   FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::WorkStealing});
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
+  std::thread caller = start_phase(pool, 100, count);
   pool.shutdown();
   EXPECT_EQ(count.load(), 100);
+  caller.join();
 }
 
 TEST(ThreadPoolTest, ConcurrentShutdownJoinsExactlyOnce) {
   // shutdown() used to check-and-set a plain bool: two concurrent callers
   // (e.g. an explicit shutdown racing the destructor) could both run the
-  // teardown and double-join the workers.  The atomic exchange makes one
-  // caller win, and every caller must block until the workers are joined.
+  // teardown and double-join the workers.  One caller must win, and every
+  // caller must block until the workers are joined.
   for (int round = 0; round < 20; ++round) {
     FixedThreadPool pool({.n_threads = 4, .queue_mode = QueueMode::WorkStealing});
     std::atomic<int> count{0};
-    for (int i = 0; i < 50; ++i) pool.submit([&] { ++count; });
+    std::thread phase = start_phase(pool, 50, count);
+    std::atomic<int> early{0};
     std::vector<std::thread> callers;
-    for (int c = 0; c < 4; ++c) callers.emplace_back([&pool] { pool.shutdown(); });
+    for (int c = 0; c < 4; ++c) {
+      callers.emplace_back([&] {
+        pool.shutdown();
+        // Returned only after the drain: the open phase is complete.
+        if (count.load() != 50) ++early;
+      });
+    }
     for (auto& t : callers) t.join();
-    // Every caller returned only after the drain: queued work is complete.
+    phase.join();
+    EXPECT_EQ(early.load(), 0);
     EXPECT_EQ(count.load(), 50);
   }
 }
 
 TEST(ThreadPoolTest, WorkStealingSubmitRacingShutdownNeverLosesTasks) {
-  // Workers respawning work through the lock-free owner-push path while an
-  // external thread shuts the pool down: every submission must either run
-  // (owner pushes land on an open deque and are drained) or throw (inbox
-  // closed) — a task that silently vanishes would corrupt the
-  // submitted_/taken_ accounting and hang a later quiesce or shutdown.
+  // Callers issue phases back to back while another thread shuts the pool
+  // down.  Each call must either run every item or throw ContractError
+  // having run none, and no call may hang: a phase published after the
+  // workers left would never finish.
   for (int round = 0; round < 10; ++round) {
     FixedThreadPool pool({.n_threads = 4, .queue_mode = QueueMode::WorkStealing});
-    std::atomic<int> executed{0};
-    std::atomic<int> accepted{0};
+    std::atomic<int> partial{0};
     std::atomic<int> rejected{0};
-    std::atomic<int> budget{2000};
-    std::function<void()> task = [&] {
-      ++executed;
-      if (budget.fetch_sub(1, std::memory_order_relaxed) <= 0) return;
-      // Mix owner pushes (own index) with inbox routes (peer index).
-      const int self = FixedThreadPool::current_worker();
-      const int target = executed.load(std::memory_order_relaxed) % 2 == 0
-                             ? self
-                             : (self + 1) % 4;
-      try {
-        pool.submit_to(target, task);
-        ++accepted;
-      } catch (const ContractError&) {
-        ++rejected;
-      }
-    };
-    int seeded = 0;
-    for (int i = 0; i < 16; ++i) {
-      try {
-        pool.submit(task);
-        ++seeded;
-      } catch (const ContractError&) {
-      }
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 3; ++c) {
+      callers.emplace_back([&, c] {
+        for (int phase = 0;; ++phase) {
+          std::atomic<int> ran{0};
+          try {
+            pool.run_phase(8, [&](int) { ++ran; }, /*caller_runs=*/(phase + c) % 2 == 0);
+            if (ran.load() != 8) ++partial;
+          } catch (const ContractError&) {
+            if (ran.load() != 0) ++partial;
+            ++rejected;
+            return;
+          }
+        }
+      });
     }
-    pool.shutdown();  // races the in-flight respawns
-    // shutdown() returns only after the workers drained and joined, so every
-    // accepted submission has executed: run-or-throw, nothing vanished.
-    EXPECT_EQ(executed.load(), seeded + accepted.load());
-    EXPECT_GE(rejected.load(), 0);
+    std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
+    pool.shutdown();  // races the in-flight phases
+    for (auto& t : callers) t.join();
+    EXPECT_EQ(partial.load(), 0);
+    EXPECT_EQ(rejected.load(), 3);
   }
 }
 
-class QueueModes : public ::testing::TestWithParam<QueueMode> {};
-
-TEST_P(QueueModes, SubmitAfterShutdownThrows) {
-  // A silently dropped task would leave a later quiesce() waiting forever,
-  // so a rejected submission must be loud.
-  FixedThreadPool pool({.n_threads = 2, .queue_mode = GetParam()});
-  pool.submit([] {});
-  pool.shutdown();
-  EXPECT_THROW(pool.submit([] {}), ContractError);
-  EXPECT_THROW(pool.submit_to(1, [] {}), ContractError);
-  // The failed submissions must not be counted as pending work.
-  pool.quiesce();
+// Pools compose: an item of pool A running a phase on pool B and waiting for
+// it must not deadlock (B's workers are independent of A's).
+TEST(ThreadPoolTest, NestedCrossPoolPhaseCompletes) {
+  FixedThreadPool pool_a({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
+  FixedThreadPool pool_b({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
+  std::atomic<int> inner_ran{0};
+  pool_a.run_phase(
+      2, [&](int) { pool_b.run_phase(4, [&](int) { ++inner_ran; }); }, /*caller_runs=*/false);
+  EXPECT_EQ(inner_ran.load(), 8);
 }
-
-TEST_P(QueueModes, AllModesExecuteSubmitTo) {
-  FixedThreadPool pool({.n_threads = 3, .queue_mode = GetParam()});
-  std::atomic<int> count{0};
-  for (int i = 0; i < 90; ++i) pool.submit_to(i % 3, [&] { ++count; });
-  pool.quiesce();
-  EXPECT_EQ(count.load(), 90);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllQueueModes, QueueModes,
-                         ::testing::Values(QueueMode::Single, QueueMode::PerThread,
-                                           QueueMode::WorkStealing));
 
 TEST(ThreadPoolTest, PinnedPoolStillExecutes) {
   // Pinning may fail on restricted hosts; work must complete regardless.
@@ -424,8 +380,7 @@ TEST(ThreadPoolTest, PinnedPoolStillExecutes) {
                         .queue_mode = QueueMode::Single,
                         .pin_masks = {topo::CpuSet::of({0}), topo::CpuSet::of({0})}});
   std::atomic<int> n{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ++n; });
-  pool.quiesce();
+  pool.run_phase(10, [&](int) { ++n; }, /*caller_runs=*/false);
   EXPECT_EQ(n.load(), 10);
 }
 
@@ -457,146 +412,57 @@ TEST(AffinityTest, NonexistentPuFails) {
   EXPECT_FALSE(pin_current_thread(topo::CpuSet::of({200})));
 }
 
-// --- round-robin wraparound regressions --------------------------------------
-// The cursor was std::atomic<int>: after 2^31 submissions fetch_add wrapped
-// negative, `% n_threads` went non-positive, and submit_to's range check
-// killed the pool mid-run.  seed_round_robin() plants the cursor just short
-// of the old wrap point so a handful of submissions crosses it.
-
-TEST(ThreadPoolTest, RoundRobinSurvivesInt32Wrap) {
-  FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::PerThread});
-  pool.seed_round_robin((1ull << 31) - 2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
-  pool.quiesce();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.failed_tasks(), 0);
-}
-
-TEST(ThreadPoolTest, RoundRobinSurvivesUint64Wrap) {
-  FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::WorkStealing});
-  pool.seed_round_robin(std::numeric_limits<std::uint64_t>::max() - 2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&] { ++ran; });
-  pool.quiesce();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.failed_tasks(), 0);
-}
-
 // --- failure diagnostics ------------------------------------------------------
 
-TEST(ThreadPoolTest, LastErrorKeepsFirstFailureMessage) {
+TEST(ThreadPoolTest, PhaseKeepsFirstFailureMessage) {
+  // One worker claims items in order, so item 1 fails first.  The first
+  // message is kept: later failures are usually cascade, the first is the
+  // root cause.
   FixedThreadPool pool({.n_threads = 1});
-  EXPECT_EQ(pool.last_error(), "");
-  pool.submit([] { throw std::runtime_error("root cause"); });
-  pool.quiesce();
-  pool.submit([] { throw std::runtime_error("cascade"); });
-  pool.quiesce();
-  EXPECT_EQ(pool.failed_tasks(), 2);
-  EXPECT_EQ(pool.last_error(), "root cause");
+  try {
+    pool.run_phase(
+        4,
+        [](int item) {
+          if (item == 1) throw std::runtime_error("root cause");
+          if (item == 3) throw std::runtime_error("cascade");
+        },
+        /*caller_runs=*/false);
+    FAIL() << "a throwing item must not be swallowed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("root cause"), std::string::npos) << e.what();
+    EXPECT_EQ(std::string(e.what()).find("cascade"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ThreadPoolTest, NonStdExceptionFailureIsRecorded) {
   FixedThreadPool pool({.n_threads = 1});
-  pool.submit([] { throw 42; });
-  pool.quiesce();
-  EXPECT_EQ(pool.failed_tasks(), 1);
-  EXPECT_EQ(pool.last_error(), "unknown exception");
-}
-
-// --- JobHandle: per-job completion, errors, isolation -------------------------
-
-TEST(JobHandleTest, TracksOwnSubmissionsOnly) {
-  FixedThreadPool pool({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
-  JobHandle job;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 10; ++i) pool.submit([&] { ++ran; }, job);
-  job.wait();
-  EXPECT_EQ(ran.load(), 10);
-  EXPECT_EQ(job.submitted(), 10);
-  EXPECT_EQ(job.completed(), 10);
-  EXPECT_EQ(job.failed(), 0);
-  EXPECT_TRUE(job.ok());
-  EXPECT_EQ(job.error(), "");
-}
-
-TEST(JobHandleTest, FailurePropagatesFirstMessage) {
-  FixedThreadPool pool({.n_threads = 2});
-  JobHandle job;
-  pool.submit([] { throw std::runtime_error("job-level failure"); }, job);
-  pool.submit([] {}, job);
-  job.wait();
-  EXPECT_FALSE(job.ok());
-  EXPECT_EQ(job.failed(), 1);
-  EXPECT_EQ(job.completed(), 2);  // failed tasks still complete the job
-  EXPECT_EQ(job.error(), "job-level failure");
-  // The pool-wide backstop sees it too.
-  pool.quiesce();
-  EXPECT_EQ(pool.failed_tasks(), 1);
-  EXPECT_EQ(pool.last_error(), "job-level failure");
-}
-
-// The quiesce() starvation fix: one client's wait must terminate while a
-// second client keeps the shared pool continuously busy.  (JobHandle.wait()
-// counts only its own tasks; pool.quiesce() counts everyone's and would spin
-// here until the churner stops.)
-TEST(JobHandleTest, WaitTerminatesWhileAnotherClientKeepsSubmitting) {
-  FixedThreadPool pool({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
-  std::atomic<bool> churn{true};
-  std::thread churner([&] {
-    JobHandle background;
-    while (churn.load(std::memory_order_relaxed)) {
-      pool.submit([] { std::this_thread::yield(); }, background);
-      std::this_thread::yield();
-    }
-    background.wait();
-  });
-
-  // The foreground tenant's job must finish despite the endless background
-  // stream — this deadlocked by construction when phases used quiesce().
-  for (int round = 0; round < 20; ++round) {
-    JobHandle job;
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) pool.submit([&] { ++ran; }, job);
-    job.wait();
-    EXPECT_EQ(ran.load(), 8);
-    EXPECT_TRUE(job.ok());
+  try {
+    pool.run_phase(1, [](int) { throw 42; });
+    FAIL() << "a throwing item must not be swallowed";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown exception"), std::string::npos) << e.what();
   }
-  churn.store(false);
-  churner.join();
-  pool.quiesce();
 }
 
-// Pools compose: a worker of pool A submitting a job to pool B and waiting
-// on it must not deadlock (B's workers are independent of A's).
-TEST(JobHandleTest, NestedCrossPoolSubmissionCompletes) {
-  FixedThreadPool pool_a({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
-  FixedThreadPool pool_b({.n_threads = 2, .queue_mode = QueueMode::WorkStealing});
-  JobHandle outer;
-  std::atomic<int> inner_ran{0};
-  pool_a.submit(
-      [&] {
-        JobHandle inner;
-        for (int i = 0; i < 4; ++i) pool_b.submit([&] { ++inner_ran; }, inner);
-        inner.wait();
-        EXPECT_TRUE(inner.ok());
-      },
-      outer);
-  outer.wait();
-  EXPECT_TRUE(outer.ok());
-  EXPECT_EQ(inner_ran.load(), 4);
-}
-
-TEST_P(QueueModes, JobScopedSubmitToRunsEverywhere) {
-  FixedThreadPool pool({.n_threads = 3, .queue_mode = GetParam()});
-  JobHandle job;
-  std::atomic<int> ran{0};
-  for (int w = 0; w < 3; ++w) {
-    for (int i = 0; i < 5; ++i) pool.submit_to(w, [&] { ++ran; }, job);
+TEST(ThreadPoolExceptionTest, ThrowingTaskDoesNotKillWorker) {
+  for (const QueueMode mode : {QueueMode::Single, QueueMode::PerThread, QueueMode::WorkStealing}) {
+    FixedThreadPool pool({.n_threads = 2, .queue_mode = mode});
+    EXPECT_THROW(pool.run_phase(
+                     4,
+                     [](int item) {
+                       if (item == 1) throw std::runtime_error("task failure");
+                     },
+                     /*caller_runs=*/false),
+                 ContractError);
+    std::atomic<int> after{0};
+    pool.run_phase(10, [&](int) { ++after; }, /*caller_runs=*/false);
+    EXPECT_EQ(after.load(), 10) << "pool must keep serving after a task throws";
   }
-  job.wait();
-  EXPECT_EQ(ran.load(), 15);
-  EXPECT_TRUE(job.ok());
+}
+
+TEST(ThreadPoolExceptionTest, NoFailuresByDefault) {
+  FixedThreadPool pool({.n_threads = 1});
+  EXPECT_NO_THROW(pool.run_phase(4, [](int) {}, /*caller_runs=*/false));
 }
 
 }  // namespace

@@ -94,10 +94,11 @@ TEST_P(PhaseDispatch, TwoCallersIssueTenThousandPhasesEach) {
 
 TEST_P(PhaseDispatch, PoolWorkerRunsPhaseOnItsOwnPool) {
   FixedThreadPool pool(config(2));
-  // From a plain task.
+  // From the one item of an outer phase that only a pool worker runs.
   std::atomic<int> inner{0};
-  pool.submit([&] { pool.run_phase(8, [&](int) { inner.fetch_add(1); }); });
-  pool.quiesce();
+  pool.run_phase(
+      1, [&](int) { pool.run_phase(8, [&](int) { inner.fetch_add(1); }); },
+      /*caller_runs=*/false);
   EXPECT_EQ(inner.load(), 8);
   // From inside an outer phase whose every item forks again: under PerThread
   // each worker's inner phase needs items only the other worker may run.

@@ -539,13 +539,13 @@ TEST(SamplingProfilerTest, SurvivesPoolShutdownMidWindow) {
   parallel::FixedThreadPool* raw = pool.get();
   SamplingProfiler p([raw] { return static_cast<double>(raw->steals()); }, 0.001);
   p.start();
-  for (int i = 0; i < 64; ++i) {
-    pool->submit([] {
-      volatile int x = 0;
-      for (int j = 0; j < 10000; ++j) x = x + j;
-    });
-  }
-  pool->quiesce();
+  pool->run_phase(
+      64,
+      [](int) {
+        volatile int x = 0;
+        for (int j = 0; j < 10000; ++j) x = x + j;
+      },
+      /*caller_runs=*/false);
   pool->shutdown();  // mid-window: the profiler is still running
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(p.running());
