@@ -90,10 +90,21 @@ BENCHMARK(BM_BarrierSingleParty);
 // One empty 4-item phase on a 4-thread pool: the fork-join cost every
 // engine phase and every for_chunks pass pays on top of its work.  The
 // argument is the QueueMode (0 Single, 1 PerThread, 2 WorkStealing).
+// With empty items the time tracks how many items the calling thread claims
+// before the spinning workers arrive, so the caller's share of items is
+// reported beside it (counter caller_share; 0.25 is one item per phase).
 void BM_PhaseDispatch(benchmark::State& state) {
   parallel::FixedThreadPool pool(
       {.n_threads = 4, .queue_mode = static_cast<parallel::QueueMode>(state.range(0))});
-  for (auto _ : state) pool.run_phase(4, [](int item) { benchmark::DoNotOptimize(item); });
+  long long caller_items = 0;  // written by the calling thread only
+  for (auto _ : state) {
+    pool.run_phase(4, [&caller_items](int item) {
+      benchmark::DoNotOptimize(item);
+      if (parallel::FixedThreadPool::current_worker() < 0) ++caller_items;
+    });
+  }
+  state.counters["caller_share"] =
+      static_cast<double>(caller_items) / (4.0 * static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_PhaseDispatch)->Arg(0)->Arg(1)->Arg(2)->UseRealTime();
 

@@ -10,9 +10,9 @@
 # waits), the shutdown drain, the trace ring's merge-at-read protocol, the
 # chunked fan-out, the re-entrant shared-pool/serve stack, the chunked
 # rebuild pipeline, the fused, pipelined step phases and the per-chunk
-# neighbor-row stashes; and the asan preset's kernel/force/engine/reduction/
-# rebuild/locality/scene/pool/chunked-fan-out/step-pipeline/
-# neighbor-build suites.
+# neighbor-row stashes; and the asan preset's kernel/force/force-buffer
+# (calloc'd slot block and its page residency)/engine/reduction/rebuild/
+# locality/scene/pool/chunked-fan-out/step-pipeline/neighbor-build suites.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -257,7 +257,9 @@ echo "== asan: kernel/force/engine/locality/scene/pool suites (asan preset) =="
 # spin-then-park waits, run_phase's slot records, the chunked fan-out and
 # the shared-pool stack under the same checks.  NeighborBuild runs the count
 # kernel's stash appends (including growth from empty) and the fill's row
-# copies.
+# copies.  The ForceBuffers suites pair the force slots' calloc block with
+# its free, and check that ASan's allocator, like glibc's, maps a 48 MB
+# block fresh so unwritten slots stay non-resident.
 cmake --preset asan
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
 ctest --preset asan -j "${jobs}"

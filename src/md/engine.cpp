@@ -30,7 +30,7 @@ Engine::Engine(MolecularSystem sys, EngineConfig config)
   const int atom_type = tracker_.register_type(
       "Atom", config_.heap.atom_object_bytes + 4 * config_.heap.vec3_object_bytes,
       /*transient_type=*/false);
-  for (int i = 0; i < sys_.n_atoms(); ++i) tracker_.on_alloc(atom_type, 0);
+  tracker_.on_alloc(atom_type, 0, sys_.n_atoms());
   require(config_.reorder_interval >= 0, "reorder_interval must be non-negative");
   // Other long-lived structures, so live-heap fractions are meaningful.  The
   // neighbor table is accounted at the modelled Java fixed width; the CSR

@@ -6,7 +6,7 @@
 // synchronization is needed inside a phase, and the reduction phase sums the
 // slots in fixed order — making the parallel result deterministic.
 //
-// Two performance refinements over the paper's dense design:
+// Three performance refinements over the paper's dense design:
 //   * The scalar pe/ke tallies are padded to one cache line per slot.  As
 //     contiguous doubles, eight adjacent workers' running sums shared one
 //     line and every add ping-ponged it between cores (the false-sharing
@@ -17,14 +17,25 @@
 //     full O(n_atoms x n_slots) matrix — the dominant phase-5 cost at high
 //     slot counts.  Untouched entries are exactly +0.0, so skipping them
 //     leaves the reduced sum bit-identical to the dense sweep.
+//   * All slots live in one n_slots x n_atoms block from std::calloc, which
+//     the constructing (master) thread never writes.  A block past glibc's
+//     32 MB mmap ceiling (and every large ASan block) is a fresh anonymous
+//     mapping, so the kernel supplies each page zero-filled when a worker's
+//     scatter first writes it: a slot costs only the pages its chunks reach,
+//     and each page is homed on the node of the worker that owns it (the
+//     first-touch rationale of common/page_vec.hpp).  A small block comes
+//     from the heap and calloc clears it.  All-bits-zero is +0.0, so the
+//     untouched-entry invariant above holds from the start.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
-#include "common/page_vec.hpp"
 #include "common/require.hpp"
 #include "common/vec3.hpp"
 
@@ -39,18 +50,18 @@ class ForceBuffers {
   static constexpr int kBlockShift = 7;
   static constexpr int kBlockAtoms = 1 << kBlockShift;
 
-  ForceBuffers(int n_workers, int n_atoms)
-      : n_workers_(n_workers), n_atoms_(n_atoms),
-        n_blocks_((n_atoms + kBlockAtoms - 1) / kBlockAtoms),
-        // Pad each slot's bitmap row to a full cache line so two slots never
-        // share one (the marks themselves must not false-share).
-        touched_stride_(((static_cast<std::size_t>(n_blocks_) + 63) / 64) * 64),
-        force_(static_cast<std::size_t>(n_workers),
-               PageVec<Vec3>(static_cast<std::size_t>(n_atoms))),
-        touched_(static_cast<std::size_t>(n_workers) * touched_stride_, 0),
-        pe_(static_cast<std::size_t>(n_workers)),
-        ke_(static_cast<std::size_t>(n_workers)) {
+  ForceBuffers(int n_workers, int n_atoms) : n_workers_(n_workers), n_atoms_(n_atoms) {
     require(n_workers > 0 && n_atoms > 0, "buffers need workers and atoms");
+    n_blocks_ = (n_atoms - 1) / kBlockAtoms + 1;
+    // Pad each slot's bitmap row to a full cache line so two slots never
+    // share one (the marks themselves must not false-share).
+    touched_stride_ = ((static_cast<std::size_t>(n_blocks_) + 63) / 64) * 64;
+    force_.reset(static_cast<Vec3*>(std::calloc(
+        static_cast<std::size_t>(n_workers) * static_cast<std::size_t>(n_atoms), sizeof(Vec3))));
+    require(force_ != nullptr, "cannot allocate the force slots");
+    touched_.assign(static_cast<std::size_t>(n_workers) * touched_stride_, 0);
+    pe_.resize(static_cast<std::size_t>(n_workers));
+    ke_.resize(static_cast<std::size_t>(n_workers));
   }
 
   [[nodiscard]] int n_workers() const { return n_workers_; }
@@ -62,11 +73,9 @@ class ForceBuffers {
   [[nodiscard]] Vec3& force(int worker, int atom) {
     touched_[static_cast<std::size_t>(worker) * touched_stride_ +
              static_cast<std::size_t>(atom >> kBlockShift)] = 1;
-    return force_[static_cast<std::size_t>(worker)][static_cast<std::size_t>(atom)];
+    return entry(worker, atom);
   }
-  [[nodiscard]] const Vec3& force(int worker, int atom) const {
-    return force_[static_cast<std::size_t>(worker)][static_cast<std::size_t>(atom)];
-  }
+  [[nodiscard]] const Vec3& force(int worker, int atom) const { return entry(worker, atom); }
 
   // One slot's scatter target with its base pointers loaded once.  A pair
   // loop calling force() per pair reloads them after every touch mark: the
@@ -82,14 +91,12 @@ class ForceBuffers {
     }
   };
   [[nodiscard]] Slot slot(int worker) {
-    return {force_[static_cast<std::size_t>(worker)].data(),
+    return {slot_base(worker),
             touched_.data() + static_cast<std::size_t>(worker) * touched_stride_};
   }
 
   // Reduction-facing access: reads/zeroes without setting marks.
-  [[nodiscard]] Vec3& force_raw(int worker, int atom) {
-    return force_[static_cast<std::size_t>(worker)][static_cast<std::size_t>(atom)];
-  }
+  [[nodiscard]] Vec3& force_raw(int worker, int atom) { return entry(worker, atom); }
 
   [[nodiscard]] bool block_touched(int worker, int block) const {
     return touched_[static_cast<std::size_t>(worker) * touched_stride_ +
@@ -136,14 +143,12 @@ class ForceBuffers {
   // entries at +0.0.)
   void zero_forces() {
     for (int w = 0; w < n_workers_; ++w) {
-      auto& slot = force_[static_cast<std::size_t>(w)];
+      Vec3* slot = slot_base(w);
       for (int b = 0; b < n_blocks_; ++b) {
         if (!block_touched(w, b)) continue;
-        const std::size_t begin = static_cast<std::size_t>(b) << kBlockShift;
-        const std::size_t end =
-            std::min(slot.size(), begin + static_cast<std::size_t>(kBlockAtoms));
-        std::fill(slot.begin() + static_cast<std::ptrdiff_t>(begin),
-                  slot.begin() + static_cast<std::ptrdiff_t>(end), Vec3{});
+        const int begin = b << kBlockShift;
+        const int end = std::min(n_atoms_, begin + kBlockAtoms);
+        std::fill(slot + begin, slot + end, Vec3{});
       }
     }
     clear_touched();
@@ -156,12 +161,26 @@ class ForceBuffers {
     double value = 0.0;
   };
 
+  // The block is handed out as Vec3 storage without running constructors.
+  static_assert(std::is_trivially_copyable_v<Vec3> && std::is_trivially_destructible_v<Vec3>);
+  struct Free {
+    void operator()(Vec3* p) const noexcept { std::free(p); }
+  };
+
+  [[nodiscard]] Vec3* slot_base(int worker) const {
+    return force_.get() + static_cast<std::size_t>(worker) * static_cast<std::size_t>(n_atoms_);
+  }
+  [[nodiscard]] Vec3& entry(int worker, int atom) const {
+    return slot_base(worker)[static_cast<std::size_t>(atom)];
+  }
+
   int n_workers_;
   int n_atoms_;
-  int n_blocks_;
-  std::size_t touched_stride_;
-  // One array per slot, each written only by its own task chain.
-  std::vector<PageVec<Vec3>> force_;
+  int n_blocks_ = 0;
+  std::size_t touched_stride_ = 0;
+  // Slot w is the n_atoms entries from slot_base(w), each written only by
+  // its own task chain.
+  std::unique_ptr<Vec3[], Free> force_;
   std::vector<std::uint8_t> touched_;
   std::vector<PaddedTally> pe_;
   std::vector<PaddedTally> ke_;

@@ -49,10 +49,15 @@ class AllocationTracker {
     return static_cast<int>(types_.size()) - 1;
   }
 
-  void on_alloc(int type_id, int thread) {
+  void on_alloc(int type_id, int thread) { on_alloc(type_id, thread, 1); }
+
+  // `count` allocations at once: the same live, total and peak as `count`
+  // single calls, for three atomic updates instead of 3 x count.
+  void on_alloc(int type_id, int thread, long long count) {
+    MWX_ASSERT(count >= 0);
     auto& lane = lane_of(type_id, thread);
-    const long long live = lane.live.fetch_add(1, std::memory_order_relaxed) + 1;
-    lane.total.fetch_add(1, std::memory_order_relaxed);
+    const long long live = lane.live.fetch_add(count, std::memory_order_relaxed) + count;
+    lane.total.fetch_add(count, std::memory_order_relaxed);
     long long peak = lane.peak.load(std::memory_order_relaxed);
     while (live > peak &&
            !lane.peak.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {

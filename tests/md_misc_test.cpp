@@ -1,8 +1,15 @@
-// Remaining MD-substrate coverage: LJ parameter tables, force buffers,
-// engine idempotence and stride-decomposition coverage properties.
+// Remaining MD-substrate coverage: LJ parameter tables, force buffers (and
+// which of their pages are resident), engine idempotence and
+// stride-decomposition coverage properties.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cerrno>
+#include <cstdint>
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/units.hpp"
 #include "md/engine.hpp"
@@ -52,6 +59,80 @@ TEST(ForceBuffersTest, AccumulateDrainZero) {
 TEST(ForceBuffersTest, Validation) {
   EXPECT_THROW(ForceBuffers(0, 5), ContractError);
   EXPECT_THROW(ForceBuffers(2, 0), ContractError);
+  // Checked before anything is sized from them.
+  EXPECT_THROW(ForceBuffers(-1, 5), ContractError);
+  EXPECT_THROW(ForceBuffers(2, -1), ContractError);
+}
+
+// --- ForceBuffersResidency -------------------------------------------------
+// The slots are one calloc block that only the kernels' scatters write, so
+// the pages of a slot nobody wrote must not be resident.
+
+bool all_bits_zero(const Vec3& v) {
+  constexpr unsigned char kZero[sizeof(Vec3)] = {};
+  return std::memcmp(&v, kZero, sizeof(Vec3)) == 0;
+}
+
+// Resident pages among those lying wholly inside [begin, end).
+long resident_pages(const Vec3* begin, const Vec3* end) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t lo = (reinterpret_cast<std::uintptr_t>(begin) + page - 1) / page * page;
+  const std::uintptr_t hi = reinterpret_cast<std::uintptr_t>(end) / page * page;
+  if (hi <= lo) return 0;
+  std::vector<unsigned char> pages((hi - lo) / page);
+  if (mincore(reinterpret_cast<void*>(lo), hi - lo, pages.data()) != 0) {
+    ADD_FAILURE() << "mincore failed: " << std::strerror(errno);
+    return -1;
+  }
+  long resident = 0;
+  for (const unsigned char p : pages) resident += p & 1;
+  return resident;
+}
+
+// 4 slots x 512k atoms x 24 B = 48 MB: past glibc's 32 MB mmap ceiling, so
+// the block is always a mapping of its own, never recycled heap.
+constexpr int kBigSlots = 4;
+constexpr int kBigAtoms = 512 * 1024;
+
+TEST(ForceBuffersResidency, OnlyWrittenPagesAreResident) {
+#if !defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "residency is asserted for glibc's and ASan's allocators only: both map "
+                  "a block this large fresh, other allocators may hand out touched memory";
+#endif
+  ForceBuffers buf(kBigSlots, kBigAtoms);
+  const auto resident = [&](int w) {
+    const Vec3* slot = &buf.force_raw(w, 0);
+    return resident_pages(slot, slot + kBigAtoms);
+  };
+  for (int w = 0; w < kBigSlots; ++w) EXPECT_EQ(resident(w), 0) << "slot " << w;
+  buf.force(1, kBigAtoms / 2) += Vec3{1, 2, 3};
+  EXPECT_EQ(resident(0), 0);
+  EXPECT_GE(resident(1), 1);
+  EXPECT_LE(resident(1), 512);  // one page, or one 2 MB transparent huge page
+  EXPECT_EQ(resident(2), 0);
+  EXPECT_EQ(resident(3), 0);
+}
+
+TEST(ForceBuffersResidency, FreshBlockReadsPositiveZero) {
+  ForceBuffers buf(kBigSlots, kBigAtoms);
+  long nonzero = 0;
+  for (int w = 0; w < kBigSlots; ++w)
+    for (int i = 0; i < kBigAtoms; ++i) nonzero += all_bits_zero(buf.force_raw(w, i)) ? 0 : 1;
+  EXPECT_EQ(nonzero, 0);
+}
+
+TEST(ForceBuffersResidency, ReusedHeapMemoryReadsPositiveZero) {
+  // A small block comes from the heap, where a freed predecessor of the same
+  // size left non-zero bits (-0.0 included) for the next one to inherit.
+  for (int round = 0; round < 3; ++round) {
+    ForceBuffers buf(3, 300);
+    for (int w = 0; w < 3; ++w)
+      for (int i = 0; i < 300; ++i) {
+        ASSERT_TRUE(all_bits_zero(buf.force_raw(w, i)))
+            << "round " << round << " slot " << w << " atom " << i;
+        buf.force(w, i) = Vec3{-0.0, -1.0, 1e300};
+      }
+  }
 }
 
 TEST(EngineMiscTest, ComputeForcesOnlyIsIdempotent) {

@@ -252,6 +252,42 @@ TEST(AllocTrackerTest, LiveBytesFraction) {
   EXPECT_DOUBLE_EQ(t.live_bytes_fraction(vec3), 0.0);
 }
 
+TEST(AllocTrackerTest, BulkAllocMatchesSingleCalls) {
+  // The same history, once with single calls and once in bulk, including
+  // frees and a collection between allocations so the peak is exercised.
+  AllocationTracker single(2), bulk(2);
+  const int s = single.register_type("Vec3", 32);
+  const int b = bulk.register_type("Vec3", 32);
+  const auto alloc = [&](int thread, int count) {
+    for (int i = 0; i < count; ++i) single.on_alloc(s, thread);
+    bulk.on_alloc(b, thread, count);
+  };
+  const auto release = [&](int thread, int count) {
+    for (int i = 0; i < count; ++i) {
+      single.on_free(s, thread);
+      bulk.on_free(b, thread);
+    }
+  };
+  alloc(0, 5);
+  release(0, 2);
+  alloc(0, 1);  // live 4, below the peak of 5
+  alloc(1, 7);
+  single.collect_garbage();
+  bulk.collect_garbage();
+  alloc(1, 3);
+  alloc(1, 0);
+  alloc(-1, 2);  // unknown thread: lane 0
+  const auto rs = single.report(s);
+  const auto rb = bulk.report(b);
+  EXPECT_EQ(rb.live_count, rs.live_count);
+  EXPECT_EQ(rb.total_allocated, rs.total_allocated);
+  EXPECT_EQ(rb.peak_live_count, rs.peak_live_count);
+  EXPECT_EQ(rb.total_allocated, 18);
+  EXPECT_EQ(rb.peak_live_count, 12);
+  for (int lane = 0; lane < 2; ++lane)
+    EXPECT_EQ(bulk.live_by_thread(b, lane), single.live_by_thread(s, lane)) << "lane " << lane;
+}
+
 TEST(AllocTrackerTest, UnknownThreadMapsToLaneZero) {
   AllocationTracker t(2);
   const int id = t.register_type("X", 8);
