@@ -80,7 +80,6 @@ struct CostTable {
                                    // scatter = 45 cycles per binned atom
   double bin_merge_cell = 6.0;     // per-cell block-prefix merge (parallel over cell blocks)
   double morton_sort_atom = 52.0;  // key build + LSD radix passes, per atom (parallel)
-  double scene_format_atom = 900.0;  // formatting one atom record in the chunked serializer
   double rebuild_merge_residue = 260.0;  // serial block-scan anchor, per chunk, per scan
 
   // Short-lived Vec3 temporaries allocated per operation when the engine is

@@ -8,32 +8,13 @@
 
 namespace mwx::serve {
 
-namespace {
-
-int resolve_chunks(parallel::FixedThreadPool* pool, int n_chunks) {
-  if (pool == nullptr) return 1;
-  return n_chunks > 0 ? n_chunks : pool->n_threads();
+std::string scene_text(const md::MolecularSystem& sys, parallel::FixedThreadPool* pool) {
+  return md::format_scene(sys, pool, pool != nullptr ? pool->n_threads() : 1);
 }
 
-}  // namespace
-
-std::string scene_text(const md::MolecularSystem& sys) {
-  return scene_text(sys, nullptr, 1);
-}
-
-std::string scene_text(const md::MolecularSystem& sys, parallel::FixedThreadPool* pool,
-                       int n_chunks) {
-  return md::format_scene(sys, pool, resolve_chunks(pool, n_chunks));
-}
-
-std::string checkpoint_text(const md::Engine& engine) {
-  return checkpoint_text(engine, nullptr, 1);
-}
-
-std::string checkpoint_text(const md::Engine& engine, parallel::FixedThreadPool* pool,
-                            int n_chunks) {
+std::string checkpoint_text(const md::Engine& engine, parallel::FixedThreadPool* pool) {
   return md::format_checkpoint(engine.system(), engine.neighbor_list().reference_positions(),
-                               pool, resolve_chunks(pool, n_chunks));
+                               pool, pool != nullptr ? pool->n_threads() : 1);
 }
 
 std::uint64_t SceneCache::content_hash(const std::string& text) {

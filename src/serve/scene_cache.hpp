@@ -41,27 +41,21 @@ class FixedThreadPool;
 
 namespace mwx::serve {
 
-// Serializes `sys` to its canonical .mws text (the cache key form).
-[[nodiscard]] std::string scene_text(const md::MolecularSystem& sys);
-
-// Pool-backed variant: formats the per-atom records through scene_io's
-// chunked parallel serializer.  Byte-identical to the serial overload — the
-// text (and hence content_hash) is the same dedup key either way; at 100k+
-// atoms the serialization stops being a serve-dispatch stall.  n_chunks <= 0
-// uses the pool's worker count.
+// Serializes `sys` to its canonical .mws text (the cache key form).  With a
+// pool, the per-atom records are formatted through scene_io's chunked
+// serializer, one chunk per pool worker; the text (and hence content_hash)
+// is byte-identical either way, and at 100k+ atoms the serialization stops
+// being a serve-dispatch stall.
 [[nodiscard]] std::string scene_text(const md::MolecularSystem& sys,
-                                     parallel::FixedThreadPool* pool, int n_chunks = 0);
+                                     parallel::FixedThreadPool* pool = nullptr);
 
 // Serializes a running engine's full continuation state to "mws 2"
 // checkpoint text: scene + accelerations + the neighbor list's
 // reference-position snapshot.  Restoring (load_scene with an nref receiver
-// + Engine::restore_continuation) resumes the trajectory bit-exactly.
-[[nodiscard]] std::string checkpoint_text(const md::Engine& engine);
-
-// Pool-backed variant (byte-identical; see scene_text above).
+// + Engine::restore_continuation) resumes the trajectory bit-exactly.  Pool
+// as for scene_text.
 [[nodiscard]] std::string checkpoint_text(const md::Engine& engine,
-                                          parallel::FixedThreadPool* pool,
-                                          int n_chunks = 0);
+                                          parallel::FixedThreadPool* pool = nullptr);
 
 class SceneCache {
  public:

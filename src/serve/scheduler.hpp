@@ -36,7 +36,7 @@
 // "mws 2" checkpoint text (positions/velocities/accelerations + the
 // neighbor list's reference snapshot; see Engine::restore_continuation), so
 // its final energies are bit-identical to an uninterrupted run —
-// bench/serve_traffic asserts this per job.  During stop() preemption is
+// ServeTrafficTest asserts this per job.  During stop() preemption is
 // suppressed (the running quantum extends to completion): shutdown owes
 // every accepted job a terminal state and gains nothing from more requeues.
 //

@@ -24,4 +24,9 @@ std::string CpuSet::to_string() const {
   return os.str();
 }
 
+void CpuSet::out_of_range(int pu) {
+  throw ContractError("pu index " + std::to_string(pu) + " out of range [0, " +
+                      std::to_string(kMaxPus) + ")");
+}
+
 }  // namespace mwx::topo

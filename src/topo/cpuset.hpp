@@ -37,15 +37,9 @@ class CpuSet {
     return s;
   }
 
-  void set(int pu) {
-    require(pu >= 0 && pu < kMaxPus, "pu index out of range");
-    words_[pu / 64] |= (1ULL << (pu % 64));
-  }
+  void set(int pu) { words_[checked_word(pu)] |= (1ULL << (pu % 64)); }
 
-  void clear(int pu) {
-    require(pu >= 0 && pu < kMaxPus, "pu index out of range");
-    words_[pu / 64] &= ~(1ULL << (pu % 64));
-  }
+  void clear(int pu) { words_[checked_word(pu)] &= ~(1ULL << (pu % 64)); }
 
   [[nodiscard]] constexpr bool test(int pu) const {
     return pu >= 0 && pu < kMaxPus && (words_[pu / 64] >> (pu % 64)) & 1ULL;
@@ -101,6 +95,15 @@ class CpuSet {
   [[nodiscard]] std::string to_string() const;
 
  private:
+  // The word holding `pu`.  The failure path is a [[noreturn]] call so that
+  // GCC sees an inlined set/clear never store with `pu` out of range
+  // (-Warray-bounds).
+  static int checked_word(int pu) {
+    if (pu < 0 || pu >= kMaxPus) out_of_range(pu);
+    return pu / 64;
+  }
+  [[noreturn]] static void out_of_range(int pu);
+
   std::uint64_t words_[kMaxPus / 64] = {};
 };
 

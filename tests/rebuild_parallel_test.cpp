@@ -156,13 +156,13 @@ TEST(RebuildParallelTest, MortonRadixMatchesStableSortAcrossThreadsAndModes) {
 
 TEST(RebuildParallelTest, SceneTextByteIdenticalAcrossThreadsAndModes) {
   md::MolecularSystem sys = irregular_system(2000);
-  const std::string ref = serve::scene_text(sys);
+  const std::string ref = md::format_scene(sys);
   const std::uint64_t ref_hash = serve::SceneCache::content_hash(ref);
   for (QueueMode mode : kModes) {
     for (int t : kThreadCounts) {
       FixedThreadPool pool({.n_threads = t, .queue_mode = mode});
       for (int chunks : {1, 2, t, 3 * t}) {
-        const std::string par = serve::scene_text(sys, &pool, chunks);
+        const std::string par = md::format_scene(sys, &pool, chunks);
         ASSERT_EQ(ref, par);
         ASSERT_EQ(ref_hash, serve::SceneCache::content_hash(par));
       }
@@ -199,7 +199,7 @@ TEST(RebuildParallelTest, SceneTextMatchesOracleWriterForEveryGenerator) {
     const std::string ref = md::oracle::scene_text(g.system);
     EXPECT_EQ(serve::SceneCache::content_hash(serve::scene_text(g.system)), g.hash) << g.name;
     for (int chunks : {1, 2, 4, 8}) {
-      ASSERT_EQ(serve::scene_text(g.system, &pool, chunks), ref) << g.name << " @" << chunks;
+      ASSERT_EQ(md::format_scene(g.system, &pool, chunks), ref) << g.name << " @" << chunks;
     }
   }
 
@@ -209,7 +209,10 @@ TEST(RebuildParallelTest, SceneTextMatchesOracleWriterForEveryGenerator) {
   const std::string ref = md::oracle::checkpoint_text(
       engine.system(), engine.neighbor_list().reference_positions());
   for (int chunks : {1, 2, 4, 8}) {
-    ASSERT_EQ(serve::checkpoint_text(engine, &pool, chunks), ref) << "checkpoint @" << chunks;
+    ASSERT_EQ(md::format_checkpoint(engine.system(), engine.neighbor_list().reference_positions(),
+                                    &pool, chunks),
+              ref)
+        << "checkpoint @" << chunks;
   }
 }
 
