@@ -16,11 +16,35 @@
 //
 // Case 2 must be indistinguishable from case 1 (the paper's observation);
 // cases 3 and 4 show what was actually available beyond Java's reach.
+//
+// The second table runs Al-1000 on all three Table II machines, each heap
+// layout with the Morton pass (a physical permutation of the atoms) off and
+// on.  Under JavaObjects the permuted atoms keep their scattered creation
+// addresses, so the pass cannot pack them; ReorderedObjects and PackedSoA
+// show what it does once the memory manager cooperates.  Both tables run
+// `steps` measured steps.  Native wall clock per pair on shuffled and
+// reordered systems is bench/e2e's to measure (gas16k, droplet200k).
+//
+// Args: [steps] (default 50).
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
+
+namespace {
+
+const char* layout_key(mwx::md::Layout layout) {
+  switch (layout) {
+    case mwx::md::Layout::JavaObjects: return "java_objects";
+    case mwx::md::Layout::ReorderedObjects: return "reordered_objects";
+    case mwx::md::Layout::PackedSoA: return "packed_soa";
+  }
+  return "unknown";
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mwx;
@@ -72,6 +96,32 @@ int main(int argc, char** argv) {
             << Table::fixed(std::abs(attempted_l2 - base_l2), 3) << " pp (L2) / "
             << Table::fixed(std::abs(attempted_l3 - base_l3), 3)
             << " pp (L3) — \"a strong indicator that the objects were not being "
-               "reordered\".\n";
+               "reordered\".\n\n";
+
+  std::cout << "Morton pass off/on, Al-1000, 4 threads on each Table II machine\n\n";
+  for (const topo::MachineSpec& spec : topo::table2_machines()) {
+    std::cout << spec.name << " (" << spec.processor << ")\n";
+    Table morton({"Layout", "Morton", "ms/step", "L2 miss%", "L3 miss%", "DRAM MB/step"});
+    for (md::Layout layout :
+         {md::Layout::JavaObjects, md::Layout::ReorderedObjects, md::Layout::PackedSoA}) {
+      for (int interval : {0, 1}) {
+        bench::RunOptions opt;
+        opt.n_threads = 4;
+        opt.steps = steps;
+        opt.warmup_steps = 3;
+        opt.spec = spec;
+        opt.layout = layout;
+        opt.reorder_interval = interval;
+        const bench::RunResult r = bench::run_simulated("Al-1000", opt);
+        morton.row(layout_key(layout), interval > 0 ? "on" : "off",
+                   Table::fixed(r.seconds_per_step * 1e3, 3),
+                   Table::fixed(r.counters.l2.miss_rate() * 100.0, 2),
+                   Table::fixed(r.counters.l3.miss_rate() * 100.0, 2),
+                   Table::fixed(r.counters.dram_bytes(64) / 1e6 / steps, 2));
+      }
+    }
+    morton.print(std::cout);
+    std::cout << '\n';
+  }
   return 0;
 }

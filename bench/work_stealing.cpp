@@ -1,16 +1,24 @@
 // Work-stealing executor evaluation on the triangular pair domains.
 //
-// Section II-B weighs a single shared queue (contention) against per-thread
-// queues (stranded work).  The Chase–Lev discipline added here resolves the
-// dilemma, and this bench quantifies it three ways:
+// Section II-B weighs a single shared queue ("any work ... will be picked up
+// by the next available thread", but "all threads are contending for access
+// to that single resource") against per-thread queues ("eliminates
+// contention, but can result in ... idle" threads).  The Chase–Lev
+// discipline resolves the dilemma, and this bench quantifies it four ways:
 //   1. a synthetic triangular phase on the simulated machine — the Coulomb
 //      cost profile in isolation, contiguous blocks so the static split is
-//      maximally imbalanced;
+//      maximally imbalanced (the 32-thread ranking is gated by
+//      QueueClaims.WorkStealingBeatsStaticAndSharedQueueAt32Threads);
 //   2. the salt benchmark end-to-end on a Table II machine across the three
 //      simulated queue disciplines;
-//   3. the salt benchmark on real threads across the three native pool
+//   3. the paper's two disciplines, per-thread and one shared queue, on the
+//      three Table I benchmarks across task granularities (4 simulated
+//      cores);
+//   4. the salt benchmark on real threads across the three native pool
 //      queue modes (host-dependent; the simulator is the controlled
 //      multicore comparison).
+//
+// Args: [steps] (default 30) for parts 2-4.
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
@@ -93,10 +101,9 @@ int main(int argc, char** argv) {
 
   // --- 1. Synthetic triangular phase, two Table II machines -----------------
   // At 4 cores the central queue barely contends and either dynamic
-  // discipline reaches balance; at 16 threads on the 4-socket Xeon every pop
+  // discipline reaches balance; at 32 threads on the 4-socket Xeon every pop
   // serializes on one lock while steals touch only the victim — the scaling
   // regime Section II-B's trade-off is about.
-  bool synth_ok = true;
   struct SynthSetup {
     const char* label;
     topo::MachineSpec spec;
@@ -121,12 +128,11 @@ int main(int argc, char** argv) {
       json.metric(std::string("synthetic_ms ") + s.label, discipline_name(a), r.ms);
     }
     synth.print(std::cout);
-    // The headline ranking is judged at scale (the Xeon row); the 4-core row
-    // shows both dynamic disciplines far ahead of the static split.
+    // The 4-core row shows both dynamic disciplines far ahead of the static
+    // split; the strict ranking at scale (the Xeon row) is a ctest.
     const bool row_ok = synth_ms[2] <= synth_ms[0] * 1.001 && synth_ms[2] <= synth_ms[1] * 1.05;
-    if (s.threads >= 32) synth_ok = synth_ms[2] <= synth_ms[0] && synth_ms[2] <= synth_ms[1];
-    std::cout << (row_ok ? "OK: work stealing matches or beats both alternatives\n\n"
-                         : "UNEXPECTED: work stealing lost this ranking\n\n");
+    std::cout << (row_ok ? "OK: work stealing within 5% of both alternatives\n\n"
+                         : "UNEXPECTED: work stealing more than 5% behind an alternative\n\n");
   }
 
   // --- 2. Salt end-to-end on a Table II machine -----------------------------
@@ -155,7 +161,35 @@ int main(int argc, char** argv) {
                " so stealing pays cross-socket buffer migration without a balance win;\n"
                " the shared queue's contention is the clear loser at 16 threads.)\n\n";
 
-  // --- 3. Salt on real threads ----------------------------------------------
+  // --- 3. Per-thread vs one shared queue, Table I benchmarks ----------------
+  std::cout << "Work-queue configuration ablation (Section II-B), 4 simulated cores\n\n";
+  Table ablation({"Benchmark", "Queue", "Chunks/thread", "ms/step", "Queue wait ms",
+                  "Imbalance"});
+  for (const auto& name : workloads::benchmark_names()) {
+    for (const auto assignment : {sim::Assignment::Static, sim::Assignment::SharedQueue}) {
+      for (int chunks : {1, 4, 16}) {
+        bench::RunOptions opt;
+        opt.n_threads = 4;
+        opt.steps = steps;
+        opt.assignment = assignment;
+        opt.chunks_per_thread = chunks;
+        const auto r = bench::run_simulated(name, opt);
+        ablation.row(name,
+                     assignment == sim::Assignment::Static ? "per-thread" : "single shared",
+                     chunks, Table::fixed(r.seconds_per_step * 1e3, 3),
+                     Table::fixed(r.counters.queue_wait_cycles /
+                                      (topo::core_i7_920().ghz * 1e9) * 1e3,
+                                  2),
+                     Table::fixed(r.imbalance, 3));
+      }
+    }
+  }
+  ablation.print(std::cout);
+  std::cout << "\nsingle shared queue: dynamic balancing (lower imbalance at fine grain)\n"
+               "but measurable contention; per-thread queues: zero contention, static\n"
+               "distribution only.\n\n";
+
+  // --- 4. Salt on real threads ----------------------------------------------
   std::cout << "salt, 4 native threads on " << parallel::online_pus()
             << " host PU(s) (wall clock; rankings need >= 4 PUs):\n";
   Table native_table({"Pool queue", "ms/step", "Steals"});
@@ -183,5 +217,5 @@ int main(int argc, char** argv) {
                "chunks migrate to idle workers instead of serializing on their owner.\n";
   json.note("meta", "machine", "core_i7_920 (simulated)");
   std::cout << "wrote " << json.write() << "\n";
-  return synth_ok ? 0 : 1;
+  return 0;
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI gate, nine stages: the tier-1 verify (full build with -Werror + test
-# suite, including the 100k-atom RebuildScale determinism cases and the
-# closed-loop ServeTrafficTest cases); smoke runs of the locality,
-# counters/report and planner emitters, of the mwx_serve CLI and of the
-# repository benchmark (bench/e2e); the forced-scalar preset's full suite;
+# CI gate, eight stages: the tier-1 verify (full build with -Werror + test
+# suite, including the 100k-atom RebuildScale determinism cases, the §V-A
+# LocalityClaims cases on the three Table II machines and the closed-loop
+# ServeTrafficTest cases); smoke runs of the counters/report and planner
+# emitters, of the mwx_serve CLI and of the repository benchmark
+# (bench/e2e); the forced-scalar preset's full suite;
 # the tsan preset's concurrency suites
 # (ThreadPool/Latch/Barrier/TraceRing/ForChunks/Reentrancy/Serve/
 # SceneCache/RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch, and
@@ -21,42 +22,13 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 jobs=${JOBS:-$(nproc)}
+repo_root=$(pwd)
 
 echo "== tier-1: configure + build (-Werror) + ctest (default preset) =="
 # The default build is warning-free; -Werror keeps it that way.
 cmake --preset default -DMWX_WERROR=ON
 cmake --build --preset default --parallel "${jobs}"
 ctest --preset default -j "${jobs}"
-
-echo "== bench smoke: locality emitter (tiny sizes) =="
-# Keeps the BENCH_*.json perf emitters from rotting: run the locality bench
-# for two simulated steps and validate the JSON it writes has the expected
-# metric groups.
-cmake --build --preset default --parallel "${jobs}" --target locality
-repo_root=$(pwd)
-smoke_dir=$(mktemp -d)
-(cd "${smoke_dir}" && "${repo_root}/build/bench/locality" 2 >/dev/null)
-python3 - "${smoke_dir}/BENCH_locality.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["bench"] == "locality", doc.get("bench")
-# Artifact identity header (schema v2): every BENCH_*.json emitter carries it.
-assert doc.get("schema_version") == 2, f"schema_version: {doc.get('schema_version')}"
-assert doc.get("git_sha"), "git_sha missing or empty"
-assert doc.get("provider") == "sim", f"provider: {doc.get('provider')}"
-sim_groups = [k for k in doc if k.startswith("sim.")]
-assert len(sim_groups) >= 3, f"expected >=3 sim.* machine groups, got {sim_groups}"
-for g in sim_groups:
-    keys = doc[g]
-    for layout in ("java_objects", "reordered_objects", "packed_soa"):
-        for state in ("reorder_off", "reorder_on"):
-            for metric in ("l2_miss_pct", "l3_miss_pct", "ms_per_step"):
-                k = f"{layout}.{state}.{metric}"
-                assert k in keys, f"{g} missing {k}"
-print("BENCH_locality.json OK:", len(sim_groups), "machine groups")
-EOF
-rm -rf "${smoke_dir}"
 
 echo "== counters smoke: PMU conservation + run report =="
 # The observability gate: run a short Al-1000 workload through both backends,

@@ -255,16 +255,25 @@ void BatchScheduler::driver_main() {
         tenants_.find(d.job->request().tenant)->second.queue.push_back(d.job);
         ++queued_total_;
         ++stats_.preemptions;
-      } else if (d.job->status() == JobStatus::Done) {
-        ++stats_.completed;
-      } else {
-        ++stats_.failed;
       }
     }
     idle_cv_.notify_all();
     // A queued job (possibly the continuation) may be waiting for a driver.
     cv_.notify_one();
   }
+}
+
+void BatchScheduler::finish_job(JobTicket& job, JobStatus terminal, double pe, double ke,
+                                std::string scene, std::string error) {
+  {
+    std::lock_guard lock(mutex_);
+    if (terminal == JobStatus::Done) {
+      ++stats_.completed;
+    } else {
+      ++stats_.failed;
+    }
+  }
+  job.finish(terminal, pe, ke, std::move(scene), std::move(error));
 }
 
 bool BatchScheduler::run_job(JobTicket& job, int shard, int quantum) {
@@ -327,14 +336,14 @@ bool BatchScheduler::run_job(JobTicket& job, int shard, int quantum) {
         job.push_sample({total, engine->potential_energy(), engine->kinetic_energy()});
       }
     }
-    job.finish(JobStatus::Done, engine->potential_energy(), engine->kinetic_energy(),
+    finish_job(job, JobStatus::Done, engine->potential_energy(), engine->kinetic_energy(),
                req.return_scene ? scene_text(engine->system()) : "", "");
     return false;
   } catch (const std::exception& e) {
-    job.finish(JobStatus::Failed, 0.0, 0.0, "", e.what());
+    finish_job(job, JobStatus::Failed, 0.0, 0.0, "", e.what());
     return false;
   } catch (...) {
-    job.finish(JobStatus::Failed, 0.0, 0.0, "", "unknown exception");
+    finish_job(job, JobStatus::Failed, 0.0, 0.0, "", "unknown exception");
     return false;
   }
 }

@@ -178,6 +178,10 @@ class BatchScheduler {
   // job was preempted (checkpointed, status back to Queued) — the caller
   // re-enqueues it; false if it reached a terminal state.
   bool run_job(JobTicket& job, int shard, int quantum);
+  // Counts the job's terminal state in stats_, then finishes its ticket: a
+  // client woken by the ticket already reads itself in stats().
+  void finish_job(JobTicket& job, JobStatus terminal, double pe, double ke, std::string scene,
+                  std::string error);
   [[nodiscard]] static double slice_cost(const JobRequest& request, int quantum);
 
   SchedulerConfig config_;

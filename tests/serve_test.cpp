@@ -201,6 +201,32 @@ TEST(ServeTest, MalformedSceneFailsWithoutPoisoningOthers) {
   EXPECT_EQ(stats.completed, 1);
 }
 
+TEST(ServeTest, StatsCountEveryJobWhoseTicketIsTerminal) {
+  // One job at a time, no drain(): the moment a ticket reads terminal,
+  // stats() must already count it.  A count taken after the wake-up loses
+  // the race only now and then, so the test repeats it 2000 times.
+  BatchScheduler scheduler(small_sched(2, 1));
+  JobRequest good;
+  good.scene_text = small_scene();
+  good.steps = 1;
+  JobRequest bad;
+  bad.scene_text = "this is not an .mws document";
+  bad.steps = 1;
+  constexpr int kJobs = 2000;
+  long long done = 0;
+  long long failed = 0;
+  for (int j = 0; j < kJobs; ++j) {
+    const bool fails = j % 4 == 3;
+    const auto ticket = scheduler.submit(fails ? bad : good);
+    ticket->wait();
+    ASSERT_EQ(ticket->status(), fails ? JobStatus::Failed : JobStatus::Done) << ticket->error();
+    ++(fails ? failed : done);
+    const BatchScheduler::Stats stats = scheduler.stats();
+    ASSERT_EQ(stats.completed, done) << "job " << j;
+    ASSERT_EQ(stats.failed, failed) << "job " << j;
+  }
+}
+
 TEST(ServeTest, InvalidRequestsRejectImmediatelyWithReason) {
   BatchScheduler scheduler(small_sched(1, 1));
   JobRequest req;
