@@ -109,8 +109,8 @@ rm -rf "${planner_dir}"
 echo "== serve smoke: multi-tenant scheduler CLI =="
 # The simulation-as-a-service acceptance gate at the CLI.  mwx_serve runs >=8
 # concurrent jobs from 2 tenants over one shared pool — once uninterrupted
-# and once with preempt_slice=7 so every job is checkpointed and resumed
-# mid-run — and exits nonzero unless every job's energies are
+# and once with preempt_slice=7 so every job is preempted and resumes its
+# parked engine mid-run — and exits nonzero unless every job's energies are
 # bitwise-identical to a dedicated single-engine pool.  Closed-loop traffic
 # through both scheduler disciplines is the ServeTrafficTest suite (tier-1).
 cmake --build --preset default --parallel "${jobs}" --target mwx_serve_cli
@@ -146,7 +146,7 @@ cmake --preset tsan -DMWX_WERROR=OFF
 cmake --build --preset tsan --parallel "${jobs}"
 ctest --preset tsan -j "${jobs}"
 
-echo "== asan: kernel/force/engine/locality/scene/pool suites (asan preset) =="
+echo "== asan: kernel/force/engine/locality/scene/pool/serve suites (asan preset) =="
 # ASan + UBSan (no recovery): the LJ kernel reads CSR rows four entries at a
 # time and the Coulomb block reads the packed arrays eight at a time; any
 # read past a row, a buffer or a lane mask's intent fails here.  The
@@ -158,7 +158,8 @@ echo "== asan: kernel/force/engine/locality/scene/pool suites (asan preset) =="
 # kernel's stash appends (including growth from empty) and the fill's row
 # copies.  The ForceBuffers suites pair the force slots' calloc block with
 # its free, and check that ASan's allocator, like glibc's, maps a 48 MB
-# block fresh so unwritten slots stay non-resident.
+# block fresh so unwritten slots stay non-resident.  The Serve suites run
+# preempted jobs, whose parked engines change owner across driver threads.
 cmake --preset asan -DMWX_WERROR=ON
 cmake --build --preset asan --parallel "${jobs}" --target mwx_tests
 ctest --preset asan -j "${jobs}"

@@ -120,7 +120,7 @@ class JobTicket {
     return samples_dropped_;
   }
 
-  // Times this job was checkpointed and re-enqueued mid-run (0 when the
+  // Times this job was preempted and re-enqueued mid-run (0 when the
   // scheduler ran it in one dispatch).
   [[nodiscard]] long long preemptions() const {
     std::lock_guard lock(mutex_);
@@ -225,24 +225,14 @@ class JobTicket {
     samples_.push_back(s);
   }
 
-  // Preemption: the job leaves its driver mid-run.  `checkpoint` is the
-  // "mws 2" text the continuation dispatch restores from; `steps_ran` is the
-  // quantum just completed.  Status returns to Queued — the caller re-enqueues
-  // the same ticket.
-  void record_preemption(std::string checkpoint, long long steps_ran) {
+  // Preemption: the job leaves its driver mid-run after a quantum of
+  // `steps_ran` steps; the scheduler parks its engine for the continuation.
+  // Status returns to Queued — the caller re-enqueues the same ticket.
+  void record_preemption(long long steps_ran) {
     std::lock_guard lock(mutex_);
     status_ = JobStatus::Queued;
-    checkpoint_text_ = std::move(checkpoint);
     steps_completed_ += steps_ran;
     ++preemptions_;
-  }
-
-  // Checkpoint of the most recent preemption ("" before the first).  Only
-  // the driver that dequeued the job reads it, so the reference is stable
-  // while the dispatch runs.
-  [[nodiscard]] const std::string& checkpoint_text() const {
-    std::lock_guard lock(mutex_);
-    return checkpoint_text_;
   }
 
   void finish(JobStatus terminal, double pe, double ke, std::string scene,
@@ -254,7 +244,6 @@ class JobTicket {
     final_scene_ = std::move(scene);
     error_ = std::move(error);
     if (terminal == JobStatus::Done) steps_completed_ = request_.steps;
-    checkpoint_text_.clear();  // terminal tickets drop their checkpoint
     const Clock::time_point now = Clock::now();
     latency_seconds_ = std::chrono::duration<double>(now - submitted_at_).count();
     if (request_.deadline_ms > 0.0 && terminal != JobStatus::Rejected) {
@@ -275,7 +264,6 @@ class JobTicket {
   int shard_ = -1;
   bool started_ = false;
   bool deadline_missed_ = false;
-  std::string checkpoint_text_;
   double final_pe_ = 0.0;
   double final_ke_ = 0.0;
   std::string final_scene_;

@@ -52,8 +52,9 @@ namespace mwx::serve {
 // Serializes a running engine's full continuation state to "mws 2"
 // checkpoint text: scene + accelerations + the neighbor list's
 // reference-position snapshot.  Restoring (load_scene with an nref receiver
-// + Engine::restore_continuation) resumes the trajectory bit-exactly.  Pool
-// as for scene_text.
+// + Engine::restore_continuation) resumes the trajectory bit-exactly.  This
+// is the export/import path for a job leaving the process; the scheduler's
+// own preemption parks the live engine instead.  Pool as for scene_text.
 [[nodiscard]] std::string checkpoint_text(const md::Engine& engine,
                                           parallel::FixedThreadPool* pool = nullptr);
 

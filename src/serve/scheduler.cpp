@@ -1,12 +1,10 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "common/require.hpp"
 #include "md/engine.hpp"
-#include "md/scene_io.hpp"
 
 namespace mwx::serve {
 
@@ -92,7 +90,7 @@ std::shared_ptr<JobTicket> BatchScheduler::submit(JobRequest request) {
     // clock: it competes fairly from now on but cannot spend an idle period
     // as hoarded credit.
     if (tenant.queue.empty()) tenant.vtime = std::max(tenant.vtime, vclock_);
-    tenant.queue.push_back(ticket);
+    tenant.queue.push_back({ticket, nullptr});
     ++queued_total_;
     ++stats_.accepted;
   }
@@ -166,7 +164,7 @@ std::vector<double> BatchScheduler::shard_costs() const {
 
 bool BatchScheduler::pick_job_locked(Dispatch* out) {
   Tenant* tenant = nullptr;
-  std::deque<std::shared_ptr<JobTicket>>::iterator pos;
+  std::deque<QueuedJob>::iterator pos;
 
   if (config_.mode == SchedMode::Deadline) {
     // EDF: earliest absolute deadline among jobs that carry one.  Ties (and
@@ -175,9 +173,9 @@ bool BatchScheduler::pick_job_locked(Dispatch* out) {
     JobTicket::Clock::time_point best = JobTicket::Clock::time_point::max();
     for (auto& [name, t] : tenants_) {
       for (auto it = t.queue.begin(); it != t.queue.end(); ++it) {
-        if ((*it)->request().deadline_ms <= 0.0) continue;
-        if ((*it)->deadline_at_ < best) {
-          best = (*it)->deadline_at_;
+        if (it->job->request().deadline_ms <= 0.0) continue;
+        if (it->job->deadline_at_ < best) {
+          best = it->job->deadline_at_;
           tenant = &t;
           pos = it;
         }
@@ -195,17 +193,17 @@ bool BatchScheduler::pick_job_locked(Dispatch* out) {
     pos = tenant->queue.begin();
   }
 
-  std::shared_ptr<JobTicket> job = std::move(*pos);
+  QueuedJob queued = std::move(*pos);
   tenant->queue.erase(pos);
   --queued_total_;
+  const JobTicket& job = *queued.job;
 
-  const int remaining =
-      job->request().steps - static_cast<int>(job->steps_completed());
+  const int remaining = job.request().steps - static_cast<int>(job.steps_completed());
   int quantum = remaining;
   if (config_.preempt_slice_steps > 0) {
     quantum = std::min(quantum, config_.preempt_slice_steps);
   }
-  const double cost = slice_cost(job->request(), quantum);
+  const double cost = slice_cost(job.request(), quantum);
   vclock_ = tenant->vtime;
   tenant->vtime += cost / tenant->quota.weight;
 
@@ -221,7 +219,7 @@ bool BatchScheduler::pick_job_locked(Dispatch* out) {
   }
   shard_cost_[static_cast<std::size_t>(shard)] += cost;
   ++running_;
-  out->job = std::move(job);
+  out->queued = std::move(queued);
   out->shard = shard;
   out->quantum = quantum;
   out->cost = cost;
@@ -238,21 +236,23 @@ void BatchScheduler::driver_main() {
       });
       if (queued_total_ == 0) return;  // stopping and fully drained
       if (!pick_job_locked(&d)) continue;
-      d.job->mark_running(d.shard);
+      d.queued.job->mark_running(d.shard);
     }
 
-    const bool preempted = run_job(*d.job, d.shard, d.quantum);
+    JobTicket& job = *d.queued.job;
+    d.queued.engine = run_job(job, std::move(d.queued.engine), d.shard, d.quantum);
 
     {
       std::lock_guard lock(mutex_);
       shard_cost_[static_cast<std::size_t>(d.shard)] -= d.cost;
       --running_;
-      if (preempted) {
-        // Re-enqueue the continuation on its tenant's FIFO under the same
-        // lock as the running_ decrement, so drain()/stop() never observe a
-        // preempted-but-unqueued job as "idle".  No vtime rejoin bump: the
-        // tenant was being served, not idle, and already paid for the slice.
-        tenants_.find(d.job->request().tenant)->second.queue.push_back(d.job);
+      if (d.queued.engine) {
+        // Re-enqueue the continuation, its engine parked beside it, on its
+        // tenant's FIFO under the same lock as the running_ decrement, so
+        // drain()/stop() never observe a preempted-but-unqueued job as
+        // "idle".  No vtime rejoin bump: the tenant was being served, not
+        // idle, and already paid for the slice.
+        tenants_.find(job.request().tenant)->second.queue.push_back(std::move(d.queued));
         ++queued_total_;
         ++stats_.preemptions;
       }
@@ -276,36 +276,27 @@ void BatchScheduler::finish_job(JobTicket& job, JobStatus terminal, double pe, d
   job.finish(terminal, pe, ke, std::move(scene), std::move(error));
 }
 
-bool BatchScheduler::run_job(JobTicket& job, int shard, int quantum) {
+std::unique_ptr<md::Engine> BatchScheduler::run_job(JobTicket& job,
+                                                    std::unique_ptr<md::Engine> engine,
+                                                    int shard, int quantum) {
   const JobRequest& req = job.request();
   try {
-    md::EngineConfig cfg;
-    cfg.n_threads = req.n_threads;
-    cfg.chunks_per_thread = req.chunks_per_thread;
-    cfg.assignment = req.assignment;
-    cfg.dt_fs = req.dt_fs;
-    cfg.cutoff = req.cutoff;
-    cfg.skin = req.skin;
-
-    std::optional<md::Engine> engine;
-    const long long base = job.steps_completed();
-    if (base == 0) {
-      const std::shared_ptr<const md::MolecularSystem> cached = cache_.load(req.scene_text);
-      engine.emplace(*cached, cfg);  // private copy; the cache stays immutable
-    } else {
-      // Continuation: restore the checkpointed trajectory bit-exactly —
-      // positions/velocities/accelerations from the "mws 2" text, the
-      // neighbor list rebuilt from its reference snapshot (see
-      // Engine::restore_continuation for why both are load-bearing).
-      std::vector<Vec3> refs;
-      md::MolecularSystem sys = md::load_scene(job.checkpoint_text(), &refs);
-      engine.emplace(std::move(sys), cfg);
-      engine->restore_continuation(refs);
+    if (!engine) {
+      md::EngineConfig cfg;
+      cfg.n_threads = req.n_threads;
+      cfg.chunks_per_thread = req.chunks_per_thread;
+      cfg.assignment = req.assignment;
+      cfg.dt_fs = req.dt_fs;
+      cfg.cutoff = req.cutoff;
+      cfg.skin = req.skin;
+      // Private copy; the cache stays immutable.
+      engine = std::make_unique<md::Engine>(*cache_.load(req.scene_text), cfg);
     }
 
     parallel::FixedThreadPool& pool = *pools_[static_cast<std::size_t>(shard)];
     const int si = req.sample_interval;
     const long long steps = req.steps;
+    const long long base = job.steps_completed();
     long long total = base;
     long long end = base + quantum;
     while (total < steps) {
@@ -319,8 +310,8 @@ bool BatchScheduler::run_job(JobTicket& job, int shard, int quantum) {
           preempt = !stopping_;
         }
         if (preempt) {
-          job.record_preemption(checkpoint_text(*engine), total - base);
-          return true;
+          job.record_preemption(total - base);
+          return engine;  // parked: the next dispatch resumes this engine
         }
         end = steps;
       }
@@ -338,14 +329,12 @@ bool BatchScheduler::run_job(JobTicket& job, int shard, int quantum) {
     }
     finish_job(job, JobStatus::Done, engine->potential_energy(), engine->kinetic_energy(),
                req.return_scene ? scene_text(engine->system()) : "", "");
-    return false;
   } catch (const std::exception& e) {
     finish_job(job, JobStatus::Failed, 0.0, 0.0, "", e.what());
-    return false;
   } catch (...) {
     finish_job(job, JobStatus::Failed, 0.0, 0.0, "", "unknown exception");
-    return false;
   }
+  return nullptr;
 }
 
 }  // namespace mwx::serve

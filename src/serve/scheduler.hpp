@@ -7,11 +7,12 @@
 //   driver threads (max_drivers) ◄── pick_job() ◄──────────────┘ EDF pick
 //        │ run one job for one *quantum* (preempt_slice_steps, or to
 //        │ completion when preemption is off):
-//        │   SceneCache::load (content-hash dedup) or checkpoint restore
-//        │   Engine(copy of cached system / checkpoint, job's config)
+//        │   first dispatch: SceneCache::load (content-hash dedup), then
+//        │     Engine(copy of cached system, job's config)
+//        │   continuation: the job's parked Engine, taken from its queue entry
 //        │   engine.run_native(shard pool, slice) per sample interval
-//        │   quantum exhausted with steps left → checkpoint_text(engine),
-//        │   record_preemption, re-enqueue the same ticket
+//        │   quantum exhausted with steps left → record_preemption, park
+//        │   the engine in the re-enqueued queue entry of the same ticket
 //        ▼
 //   1..n_pools FixedThreadPools (shards) — shared by every concurrent job;
 //   each engine phase is its own run_phase fork-join on its own slot, so
@@ -32,11 +33,16 @@
 // to the fair-share pick when no queued job has one — deadline tenants get
 // latency SLOs, batch tenants still share the residual capacity fairly.
 //
-// Preemption correctness: a preempted job's continuation restores from
-// "mws 2" checkpoint text (positions/velocities/accelerations + the
-// neighbor list's reference snapshot; see Engine::restore_continuation), so
-// its final energies are bit-identical to an uninterrupted run —
-// ServeTrafficTest asserts this per job.  During stop() preemption is
+// Preemption correctness: a preempted job's continuation is the engine it
+// was preempted from.  The engine is parked in the job's queue entry and the
+// next dispatch calls run_native on it again, on whichever shard it lands on
+// — an engine is not tied to a pool, and its energy bits are fixed by
+// n_threads alone — so its final energies are bit-identical to an
+// uninterrupted run by construction (split run_native calls: StepPipeline.*;
+// per job through serve: ServeTrafficTest, ServeLongHorizonTest).  Nothing
+// is serialized on the way: the "mws 2" checkpoint text (checkpoint_text,
+// load_scene with an nref receiver, Engine::restore_continuation) is the
+// export/import path, not the preemption path.  During stop() preemption is
 // suppressed (the running quantum extends to completion): shutdown owes
 // every accepted job a terminal state and gains nothing from more requeues.
 //
@@ -56,6 +62,10 @@
 #include "parallel/thread_pool.hpp"
 #include "serve/job.hpp"
 #include "serve/scene_cache.hpp"
+
+namespace mwx::md {
+class Engine;
+}  // namespace mwx::md
 
 namespace mwx::serve {
 
@@ -85,10 +95,10 @@ struct SchedulerConfig {
   TenantQuota default_quota;
   std::size_t scene_cache_entries = 64;
   // Preemption quantum: a dispatched job runs at most this many steps, then
-  // is checkpointed, re-enqueued as a continuation on the same ticket, and
-  // re-charged from its tenant's vtime — so a 100k-step job cannot hold a
-  // driver slot hostage while 50-step jobs queue behind it.  0 = off (every
-  // dispatch runs to completion, the pre-preemption behavior).
+  // is re-enqueued as a continuation on the same ticket, its engine parked
+  // beside it, and re-charged from its tenant's vtime — so a 100k-step job
+  // cannot hold a driver slot hostage while 50-step jobs queue behind it.
+  // 0 = off (every dispatch runs to completion, the pre-preemption behavior).
   int preempt_slice_steps = 0;
   // Scheduling discipline (see SchedMode).
   SchedMode mode = SchedMode::FairShare;
@@ -143,7 +153,7 @@ class BatchScheduler {
     long long rejected = 0;
     long long completed = 0;    // Done
     long long failed = 0;       // Failed
-    long long preemptions = 0;  // checkpoint + re-enqueue events
+    long long preemptions = 0;  // park + re-enqueue events
   };
   [[nodiscard]] Stats stats() const;
 
@@ -155,16 +165,23 @@ class BatchScheduler {
   [[nodiscard]] std::vector<double> shard_costs() const;
 
  private:
+  // A queued job, and for a continuation the engine it was preempted from,
+  // parked until its next dispatch (null before the first).
+  struct QueuedJob {
+    std::shared_ptr<JobTicket> job;
+    std::unique_ptr<md::Engine> engine;
+  };
+
   struct Tenant {
     TenantQuota quota;
-    std::deque<std::shared_ptr<JobTicket>> queue;
+    std::deque<QueuedJob> queue;
     double vtime = 0.0;  // virtual time consumed / weight
   };
 
   // One driver dispatch: the picked job, its shard, the step quantum it may
   // run, and the cost charged to the shard (subtracted back on completion).
   struct Dispatch {
-    std::shared_ptr<JobTicket> job;
+    QueuedJob queued;
     int shard = 0;
     int quantum = 0;
     double cost = 0.0;
@@ -174,10 +191,12 @@ class BatchScheduler {
   // Picks per config_.mode and charges tenant vtime + shard cost; requires
   // lock.  Returns false when no job is queued.
   bool pick_job_locked(Dispatch* out);
-  // Runs `job` for up to `quantum` steps on `shard`.  Returns true if the
-  // job was preempted (checkpointed, status back to Queued) — the caller
-  // re-enqueues it; false if it reached a terminal state.
-  bool run_job(JobTicket& job, int shard, int quantum);
+  // Runs `job` for up to `quantum` steps on `shard`, on `engine` (its parked
+  // engine, or null to build one from the scene).  Returns the engine if the
+  // job was preempted (status back to Queued) — the caller parks it and
+  // re-enqueues the job; null if the job reached a terminal state.
+  std::unique_ptr<md::Engine> run_job(JobTicket& job, std::unique_ptr<md::Engine> engine,
+                                      int shard, int quantum);
   // Counts the job's terminal state in stats_, then finishes its ticket: a
   // client woken by the ticket already reads itself in stats().
   void finish_job(JobTicket& job, JobStatus terminal, double pe, double ke, std::string scene,

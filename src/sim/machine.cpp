@@ -33,6 +33,7 @@ Machine::Machine(MachineConfig config)
     for (int i = 0; i < instances; ++i) {
       lvl.instances.emplace_back(c.size_bytes, c.line_bytes, c.associativity);
     }
+    lvl.is_filled.assign(static_cast<std::size_t>(instances), false);
     levels_.push_back(std::move(lvl));
   }
 
@@ -233,9 +234,12 @@ double Machine::charge_access(int pu, const Access& a, double t) {
   }
   for (std::size_t li = 0; li < levels_.size(); ++li) {
     Level& lvl = levels_[li];
-    const int inst = pu / lvl.spec.pus_per_instance;
-    SetAssocCache& cache = lvl.instances[static_cast<std::size_t>(inst)];
-    const auto r = cache.access(a.addr, a.write);
+    const auto inst = static_cast<std::size_t>(pu / lvl.spec.pus_per_instance);
+    const auto r = lvl.instances[inst].access(a.addr, a.write);
+    if (!r.hit && !lvl.is_filled[inst]) {
+      lvl.is_filled[inst] = true;
+      lvl.filled.push_back(inst);
+    }
     // Mirror this lookup's stat increments into the (phase, core) domain —
     // the machine-global l1/l2/l3 views aggregate the cache instances
     // directly, so the mirror is what makes per-domain sums conserve them.
@@ -249,14 +253,12 @@ double Machine::charge_access(int pu, const Access& a, double t) {
     }
     cost += pricing_.levels[li].hit_latency_cycles;
     const bool last_level = li + 1 == levels_.size();
-    if (a.write && lvl.instances.size() > 1) {
+    if (a.write && lvl.filled.size() > 1) {
       // Coherence: gaining write ownership invalidates copies in every other
-      // instance of this level.
+      // instance of this level that has ever been filled.
       const std::uint64_t line = a.addr / static_cast<std::uint64_t>(lvl.spec.line_bytes);
-      for (std::size_t other = 0; other < lvl.instances.size(); ++other) {
-        if (other != static_cast<std::size_t>(inst)) {
-          lvl.instances[other].invalidate_line(line);
-        }
+      for (const std::size_t other : lvl.filled) {
+        if (other != inst) lvl.instances[other].invalidate_line(line);
       }
     }
     if (last_level && r.evicted_dirty) {

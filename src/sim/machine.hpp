@@ -174,6 +174,11 @@ class Machine {
   struct Level {
     topo::CacheLevelSpec spec;
     std::vector<SetAssocCache> instances;
+    // Instances that have installed a line, in first-fill order, and a flag
+    // per instance.  A write invalidates its line only in these: an instance
+    // that was never filled holds nothing to invalidate.
+    std::vector<std::size_t> filled;
+    std::vector<bool> is_filled;
   };
 
   struct ThreadState {

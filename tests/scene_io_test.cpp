@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "common/args.hpp"
 #include "md/engine.hpp"
@@ -242,6 +246,74 @@ TEST(SceneIoTest, RestoreContinuationBitExactAcrossWorkloads) {
     cfg.n_threads = 4;
     expect_restore_bit_exact(spec.system, cfg, 24, 7);
   }
+}
+
+// Resumes from "mws 2" text every `every` steps: each segment runs on a
+// fresh engine restored from the previous segment's checkpoint.  After every
+// segment its energies must equal those of an engine that was never
+// restored, and at the end energies and positions must equal one run_native
+// call over all `total` steps, bit for bit.
+void expect_repeated_restores_bit_exact(const MolecularSystem& sys, const EngineConfig& cfg,
+                                        int total, int every) {
+  parallel::FixedThreadPool pool({.n_threads = cfg.n_threads});
+  Engine whole(sys, cfg);
+  whole.run_native(pool, total);
+
+  Engine kept(sys, cfg);
+  auto resumed = std::make_unique<Engine>(sys, cfg);
+  for (int done = 0; done < total;) {
+    if (done > 0) {
+      const std::string text = format_checkpoint(resumed->system(),
+                                                 resumed->neighbor_list().reference_positions());
+      std::vector<Vec3> refs;
+      resumed = std::make_unique<Engine>(load_scene(std::string_view(text), &refs), cfg);
+      resumed->restore_continuation(refs);
+    }
+    const int n = std::min(every, total - done);
+    resumed->run_native(pool, n);
+    kept.run_native(pool, n);
+    done += n;
+    ASSERT_EQ(resumed->potential_energy(), kept.potential_energy()) << "after step " << done;
+    ASSERT_EQ(resumed->kinetic_energy(), kept.kinetic_energy()) << "after step " << done;
+  }
+
+  EXPECT_EQ(whole.potential_energy(), resumed->potential_energy());
+  EXPECT_EQ(whole.kinetic_energy(), resumed->kinetic_energy());
+  const MolecularSystem& a = whole.system();
+  const MolecularSystem& b = resumed->system();
+  for (int ext = 0; ext < a.n_atoms(); ++ext) {
+    ASSERT_EQ(a.positions()[static_cast<std::size_t>(a.index_of_external(ext))],
+              b.positions()[static_cast<std::size_t>(b.index_of_external(ext))])
+        << "atom " << ext;
+  }
+  pool.shutdown();
+}
+
+TEST(SceneIoCheckpoint, RepeatedRestoresMatchUninterruptedRun) {
+  // Salt (every atom charged), nanocar (bonded) and Al-1000 (a rebuild
+  // every few steps), 14 restores over 105 steps, under a static and a
+  // dynamic discipline.
+  for (const char* name : {"salt", "nanocar", "Al-1000"}) {
+    for (const sim::Assignment assignment :
+         {sim::Assignment::Static, sim::Assignment::WorkStealing}) {
+      SCOPED_TRACE(std::string(name) + (assignment == sim::Assignment::Static ? " static"
+                                                                               : " stealing"));
+      auto spec = workloads::make_benchmark(name, 5);
+      auto cfg = spec.engine;
+      cfg.n_threads = 3;
+      cfg.assignment = assignment;
+      expect_repeated_restores_bit_exact(spec.system, cfg, 105, 7);
+    }
+  }
+}
+
+TEST(SceneIoCheckpoint, RepeatedRestoresMatchUninterruptedRunChargedGas2048) {
+  // The 2048-atom LJ+Coulomb gas (a quarter charged) of bench/e2e's
+  // serve_mix bulk jobs, at their width and time step.
+  EngineConfig cfg{.n_threads = 4};
+  cfg.dt_fs = 1.0;
+  expect_repeated_restores_bit_exact(workloads::make_lj_coulomb_gas(2048, 0.008, 300.0, 0.25, 3),
+                                     cfg, 105, 7);
 }
 
 TEST(SceneIoTest, RestoreContinuationGuards) {

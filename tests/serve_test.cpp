@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -522,6 +523,65 @@ TEST(ServePreemptTest, QueueDelayMeasuredToFirstStartOnly) {
   // Queue delay cannot exceed total latency, and preemption re-queues must
   // not have reset it to a later window.
   EXPECT_LE(ticket->queue_seconds(), ticket->latency_seconds());
+}
+
+TEST(ServeLongHorizonTest, EveryStepPreemptedMatchesDedicatedPoolBitwise) {
+  // Two 2000-step jobs preempted after every step, so each resumes its
+  // parked engine 1999 times, on whichever of two shards is free: a 256-atom
+  // LJ gas and the 2048-atom LJ+Coulomb gas (a quarter charged) of
+  // bench/e2e's serve_mix bulk jobs.  Final energies must equal one
+  // dedicated-pool run_native call bit for bit, and total energy must stay
+  // within kMaxDrift of its first sample over the whole run (NVE).
+  constexpr int kSteps = 2000;
+  constexpr int kWidth = 4;
+  // Worst sample, as a share of max(|E|, KE) at step 1: 1.4e-4 (LJ gas) and
+  // 3.2e-5 (charged gas).  The energies are a pure function of the scene and
+  // the width, so these numbers do not vary from run to run.
+  constexpr double kMaxDrift = 1e-3;
+  std::vector<JobRequest> requests(2);
+  requests[0].scene_text = scene_text(workloads::make_lj_gas(256, 0.006, 300.0, 17));
+  requests[1].scene_text =
+      scene_text(workloads::make_lj_coulomb_gas(2048, 0.008, 300.0, 0.25, 18));
+  requests[1].dt_fs = 1.0;
+  for (JobRequest& req : requests) {
+    req.steps = kSteps;
+    req.n_threads = kWidth;
+    req.sample_interval = 1;
+  }
+
+  SchedulerConfig sc = small_sched(2, 2);
+  sc.n_pools = 2;
+  sc.preempt_slice_steps = 1;
+  BatchScheduler scheduler(sc);
+  std::vector<std::shared_ptr<JobTicket>> tickets;
+  for (const JobRequest& req : requests) tickets.push_back(scheduler.submit(req));
+  scheduler.drain();
+
+  parallel::FixedThreadPool dedicated({.n_threads = kWidth});
+  for (std::size_t j = 0; j < requests.size(); ++j) {
+    SCOPED_TRACE(j == 0 ? "LJ gas" : "LJ+Coulomb gas");
+    const JobTicket& t = *tickets[j];
+    ASSERT_EQ(t.status(), JobStatus::Done) << t.error();
+    EXPECT_EQ(t.preemptions(), kSteps - 1);
+
+    md::EngineConfig cfg;
+    cfg.n_threads = kWidth;
+    cfg.dt_fs = requests[j].dt_fs;
+    md::Engine reference(*scheduler.scene_cache().load(requests[j].scene_text), cfg);
+    reference.run_native(dedicated, kSteps);
+    EXPECT_EQ(t.potential_energy(), reference.potential_energy());
+    EXPECT_EQ(t.kinetic_energy(), reference.kinetic_energy());
+
+    const std::vector<Sample> samples = t.samples();
+    ASSERT_EQ(samples.size(), static_cast<std::size_t>(kSteps));
+    const double e0 = samples.front().pe + samples.front().ke;
+    const double scale = std::max(std::fabs(e0), samples.front().ke);
+    double drift = 0.0;
+    for (const Sample& s : samples) drift = std::max(drift, std::fabs(s.pe + s.ke - e0) / scale);
+    EXPECT_LT(drift, kMaxDrift);
+  }
+  EXPECT_EQ(scheduler.stats().preemptions, 2 * (kSteps - 1));
+  dedicated.shutdown();
 }
 
 TEST(ServeDeadlineTest, DeadlineModePrefersEarliestDeadline) {

@@ -11,9 +11,10 @@
 //                  [preempt_slice]
 //   benchmark: nanocar | salt | Al-1000 (Table I), or a path to a .mws file
 //   defaults:  jobs=8 steps=100 pool_threads=4 tenants=2 preempt_slice=0
-//   preempt_slice > 0 checkpoints every job each `preempt_slice` steps and
-//   resumes it from the checkpoint text — the bitwise gate then also proves
-//   preempted-and-resumed jobs indistinguishable from uninterrupted ones.
+//   preempt_slice > 0 preempts every job each `preempt_slice` steps, parks
+//   its engine and resumes it on a later dispatch — the bitwise gate then
+//   also proves preempted-and-resumed jobs indistinguishable from
+//   uninterrupted ones.
 
 #include <cstdlib>
 #include <fstream>
