@@ -1,12 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the individual substrates: force
-// kernels, neighbor rebuild, reduction, synchronization primitives, phase
-// dispatch, the cache model and the monitors.  These measure the *native* C++ code on
-// the host, complementing the simulated end-to-end benches.
+// kernels, neighbor rebuild, reduction, phase dispatch, the cache model and
+// the monitors.  These measure the *native* C++ code on the host,
+// complementing the simulated end-to-end benches.
 #include <benchmark/benchmark.h>
 
 #include "md/engine.hpp"
-#include "parallel/barrier.hpp"
-#include "parallel/latch.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perf/monitor.hpp"
 #include "sim/cache.hpp"
@@ -71,21 +69,6 @@ void BM_NeighborRebuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_NeighborRebuild)->Arg(1000)->Arg(8000)->Unit(benchmark::kMicrosecond);
-
-void BM_CountDownLatch(benchmark::State& state) {
-  for (auto _ : state) {
-    parallel::CountDownLatch latch(8);
-    for (int i = 0; i < 8; ++i) latch.count_down();
-    latch.await();
-  }
-}
-BENCHMARK(BM_CountDownLatch);
-
-void BM_BarrierSingleParty(benchmark::State& state) {
-  parallel::CyclicBarrier barrier(1);
-  for (auto _ : state) barrier.arrive_and_wait();
-}
-BENCHMARK(BM_BarrierSingleParty);
 
 // One empty 4-item phase on a 4-thread pool: the fork-join cost every
 // engine phase and every for_chunks pass pays on top of its work.  The

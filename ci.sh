@@ -6,18 +6,19 @@
 # emitters, of the mwx_serve CLI and of the repository benchmark
 # (bench/e2e); the forced-scalar preset's full suite;
 # the tsan preset's concurrency suites
-# (ThreadPool/Latch/Barrier/TraceRing/ForChunks/Reentrancy/Serve/
-# SceneCache/RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch, and
-# the engine's AllQueueModes bit-identity test), which pin the lock-free
+# (ThreadPool/TraceRing/ForChunks/Reentrancy/Serve/SceneCache/
+# RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch, and the
+# engine's AllQueueModes bit-identity test), which pin the lock-free
 # pool paths (run_phase's claim word and slot table, the spin-then-park
-# waits), the shutdown drain, the trace ring's merge-at-read protocol, the
+# waits on the pool's wake word), the shutdown drain, the trace ring's merge-at-read protocol, the
 # chunked fan-out, the re-entrant shared-pool/serve stack, the chunked
 # rebuild pipeline, the fused, pipelined step phases and the per-chunk
 # neighbor-row stashes; and the asan preset's kernel/force/force-buffer
 # (calloc'd slot block and its page residency)/engine/reduction/rebuild/
 # locality/scene/pool/chunked-fan-out/step-pipeline/neighbor-build suites.
-# The default, scalar and asan presets are configured with -DMWX_WERROR=ON:
-# a new warning there fails CI.
+# Every preset is configured with -DMWX_WERROR=ON: a new warning fails CI.
+# Each ctest case has a time limit (execution.timeout in CMakePresets.json),
+# so a lost wake-up fails its case instead of hanging the stage.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -139,10 +140,7 @@ cmake --build --preset scalar --parallel "${jobs}"
 ctest --preset scalar -j "${jobs}"
 
 echo "== tsan: concurrency suites (tsan preset) =="
-# Not -Werror: GCC's -Wtsan warns that the pool's seq-cst
-# std::atomic_thread_fence (the spin-then-park handshake) is not supported
-# with -fsanitize=thread.
-cmake --preset tsan -DMWX_WERROR=OFF
+cmake --preset tsan -DMWX_WERROR=ON
 cmake --build --preset tsan --parallel "${jobs}"
 ctest --preset tsan -j "${jobs}"
 

@@ -4,10 +4,10 @@
 // pool's idle loop) and a run_phase caller waiting for its phase's last item
 // (the engine's phase barrier, parallel::for_chunks) — first spin on an
 // atomic predicate for up to kSpinBudget and only then park on the pool's
-// condition variable.  A timestep is a handful of sub-millisecond phases
-// separated by barriers; a parked thread takes tens to hundreds of
-// microseconds to wake, so parking at every barrier turns that wake latency
-// into idle workers and phase overhead.
+// wake word.  A timestep is a handful of sub-millisecond phases separated by
+// barriers; a parked thread takes tens to hundreds of microseconds to wake,
+// so parking at every barrier turns that wake latency into idle workers and
+// phase overhead.
 //
 //   * The budget is wall time, checked against steady_clock, not a count of
 //     pauses: one pause costs 10–140 cycles depending on the x86 generation.
@@ -20,9 +20,9 @@
 //   * The price is CPU time: a thread that finds nothing within the budget
 //     has burned up to kSpinBudget of a core before it parks.
 //
-// The parking path is unchanged: the predicate is re-checked under the
-// monitor's mutex before every cv wait, so the spin only ever adds a way to
-// return early and never a way to miss a wakeup.
+// The parking path does not depend on the spin: the predicate is re-checked
+// after every read of the wake word and before every wait on it, so the spin
+// only ever adds a way to return early and never a way to miss a wakeup.
 #pragma once
 
 #include <chrono>

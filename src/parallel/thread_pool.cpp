@@ -44,22 +44,21 @@ FixedThreadPool::FixedThreadPool(ThreadPoolConfig config) : config_(std::move(co
 FixedThreadPool::~FixedThreadPool() { shutdown(); }
 
 void FixedThreadPool::wake_parked() {
-  // Pairs with the fence in wait_until: either the parked thread's check
-  // sees what the caller just published, or the caller sees it parked.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (parked_.load(std::memory_order_relaxed) == 0) return;
-  { std::lock_guard lock(sleep_mutex_); }
-  sleep_cv_.notify_all();
+  wake_.fetch_add(1, std::memory_order_release);
+  wake_.notify_all();
 }
 
 template <typename Ready>
 void FixedThreadPool::wait_until(Ready&& ready) {
   if (spin_until(ready)) return;
-  std::unique_lock lock(sleep_mutex_);
-  parked_.fetch_add(1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  sleep_cv_.wait(lock, ready);
-  parked_.fetch_sub(1, std::memory_order_relaxed);
+  // A waiter that reads wake_ before a waker's bump blocks on that old value
+  // and is woken by the notify that follows the bump; one that reads it after
+  // acquires the waker's write, so ready() sees it.
+  for (;;) {
+    const std::uint32_t seen = wake_.load(std::memory_order_acquire);
+    if (ready()) return;
+    wake_.wait(seen, std::memory_order_acquire);
+  }
 }
 
 void FixedThreadPool::worker_main(int index) {
@@ -149,9 +148,7 @@ int FixedThreadPool::try_claim(PhaseSlot& slot, int me) {
 void FixedThreadPool::run_claim(PhaseSlot& slot, int claim) {
   // Copies the message while the exception is still alive.
   const auto note = [&slot](const char* what) {
-    std::lock_guard lock(slot.error_mutex);
-    if (!slot.failed) slot.error = what;
-    slot.failed = true;
+    if (!slot.failed.exchange(true, std::memory_order_relaxed)) slot.error = what;
   };
   for (int item = claim; item < slot.n_items; item += slot.n_claims) {
     try {
@@ -208,7 +205,7 @@ void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body, bool
   slot.body = body;
   slot.n_items = n_items;
   slot.n_claims = single ? n_items : std::min(n_items, max_claims_);
-  slot.failed = false;
+  slot.failed.store(false, std::memory_order_relaxed);
   slot.error.clear();
   slot.pending.store(slot.n_claims, std::memory_order_relaxed);
   // Open the slot before publishing, then re-check shutdown: a draining
@@ -244,7 +241,7 @@ void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body, bool
       if (!serve_phases(me)) wait_until([&] { return done() || claimable(me); });
     }
   }
-  const bool failed = slot.failed;
+  const bool failed = slot.failed.load(std::memory_order_relaxed);
   std::string error = failed ? std::move(slot.error) : std::string();
   open_slots_.fetch_and(~bit, std::memory_order_seq_cst);
   free_slots_.fetch_or(bit, std::memory_order_release);
@@ -258,11 +255,8 @@ void FixedThreadPool::shutdown() {
   // start destroying the pool while threads are still draining.
   std::lock_guard lock(shutdown_mutex_);
   if (closing_.load(std::memory_order_relaxed)) return;
-  {
-    std::lock_guard sleep_lock(sleep_mutex_);
-    closing_.store(true, std::memory_order_seq_cst);
-  }
-  sleep_cv_.notify_all();
+  closing_.store(true, std::memory_order_seq_cst);
+  wake_parked();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }

@@ -23,10 +23,10 @@
 //
 // An idle worker does not park right away, as a Java pool thread does: it
 // spins for up to kSpinBudget (parallel/spin_wait.hpp) on the phase slots
-// holding an item it may claim, and parks on the pool's condition variable
-// only when nothing arrived.  Between the barriers of a sub-millisecond
-// timestep the workers therefore stay awake, and a new phase's items start
-// without a wakeup.  The simulator (sim::Machine) still models the JVM's
+// holding an item it may claim, and parks on the pool's wake word only when
+// nothing arrived.  Between the barriers of a sub-millisecond timestep the
+// workers therefore stay awake, and a new phase's items start without a
+// wakeup.  The simulator (sim::Machine) still models the JVM's
 // park/unpark costs; this policy is the native pool's only.
 //
 // The pool is re-entrant: independent clients (engines, tenants) may run
@@ -41,7 +41,6 @@
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -138,9 +137,10 @@ class FixedThreadPool {
     void* body = nullptr;
     int n_items = 0;
     int n_claims = 0;  // U: claim u runs items u, u + U, u + 2U, ...
-    std::mutex error_mutex;
-    bool failed = false;  // first item failure and its message, under
-    std::string error;    // error_mutex; the owner reads them once done
+    // The first failing item wins `failed` and alone writes `error`; the
+    // owner reads both once `pending` has reached zero.
+    std::atomic<bool> failed{false};
+    std::string error;
     std::atomic<std::uint64_t>& word(int k) { return k == 0 ? claim : more[k - 1]; }
     const std::atomic<std::uint64_t>& word(int k) const { return k == 0 ? claim : more[k - 1]; }
   };
@@ -163,10 +163,10 @@ class FixedThreadPool {
   // ran at least one.
   bool serve_phases(int me);
   [[nodiscard]] bool claimable(int me) const;
-  // Spin-then-park on the pool's one sleep monitor until ready() holds.
+  // Spin-then-park on wake_ until ready() holds.
   template <typename Ready>
   void wait_until(Ready&& ready);
-  // Wakes parked threads, touching the monitor only when one is parked.
+  // Bumps wake_ and wakes every thread parked on it.
   void wake_parked();
 
   void worker_main(int index);
@@ -176,11 +176,10 @@ class FixedThreadPool {
   // Every steal writes steals_, and every claim reads config_: one cache line
   // for both would bounce between the claimants.
   alignas(64) std::atomic<long long> steals_{0};
-  // Idle workers and run_phase callers park here once their spin budget runs
-  // out; phase publications, phase completions and shutdown wake them.
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<int> parked_{0};
+  // Idle workers and run_phase callers park on this word once their spin
+  // budget runs out; phase publications, phase completions and shutdown bump
+  // it after their own write and notify.
+  std::atomic<std::uint32_t> wake_{0};
   // run_phase's slot table: a bit per free slot, and a bit per slot whose
   // phase is still running (cleared by its owner once every item is done).
   std::array<PhaseSlot, kPhaseSlots> slots_;

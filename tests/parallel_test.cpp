@@ -9,109 +9,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/require.hpp"
 #include "parallel/affinity.hpp"
-#include "parallel/barrier.hpp"
 #include "parallel/chunked.hpp"
-#include "parallel/latch.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mwx::parallel {
 namespace {
-
-TEST(LatchTest, CountsDownToZero) {
-  CountDownLatch latch(3);
-  EXPECT_EQ(latch.count(), 3);
-  latch.count_down();
-  latch.count_down();
-  EXPECT_EQ(latch.count(), 1);
-  latch.count_down();
-  EXPECT_EQ(latch.count(), 0);
-  latch.await();  // returns immediately at zero
-}
-
-TEST(LatchTest, ZeroLatchAwaitsImmediately) {
-  CountDownLatch latch(0);
-  latch.await();
-}
-
-TEST(LatchTest, BelowZeroThrows) {
-  CountDownLatch latch(1);
-  latch.count_down();
-  EXPECT_THROW(latch.count_down(), ContractError);
-}
-
-TEST(LatchTest, NegativeCountRejected) { EXPECT_THROW(CountDownLatch{-1}, ContractError); }
-
-TEST(LatchTest, CrossThreadRelease) {
-  CountDownLatch latch(2);
-  std::atomic<int> done{0};
-  std::thread t1([&] {
-    ++done;
-    latch.count_down();
-  });
-  std::thread t2([&] {
-    ++done;
-    latch.count_down();
-  });
-  latch.await();
-  EXPECT_EQ(done.load(), 2);
-  t1.join();
-  t2.join();
-}
-
-TEST(BarrierTest, SinglePartyPassesThrough) {
-  CyclicBarrier b(1);
-  EXPECT_EQ(b.arrive_and_wait(), 0);
-  EXPECT_EQ(b.generation(), 1u);
-  EXPECT_EQ(b.arrive_and_wait(), 0);
-  EXPECT_EQ(b.generation(), 2u);
-}
-
-TEST(BarrierTest, InvalidPartiesRejected) { EXPECT_THROW(CyclicBarrier{0}, ContractError); }
-
-TEST(BarrierTest, ReleasesAllParties) {
-  constexpr int kThreads = 4;
-  CyclicBarrier barrier(kThreads);
-  std::atomic<int> before{0}, after{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] {
-      ++before;
-      barrier.arrive_and_wait();
-      ++after;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(before.load(), kThreads);
-  EXPECT_EQ(after.load(), kThreads);
-  EXPECT_EQ(barrier.generation(), 1u);
-}
-
-TEST(BarrierTest, OnTripRunsOncePerGeneration) {
-  constexpr int kThreads = 3;
-  constexpr int kRounds = 5;
-  std::atomic<int> trips{0};
-  CyclicBarrier barrier(kThreads, [&] { ++trips; });
-  std::vector<std::thread> threads;
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&] {
-      for (int r = 0; r < kRounds; ++r) barrier.arrive_and_wait();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(trips.load(), kRounds);
-  EXPECT_EQ(barrier.generation(), static_cast<std::uint64_t>(kRounds));
-}
-
-TEST(BarrierTest, ReusableAcrossManyGenerations) {
-  CyclicBarrier barrier(2);
-  std::thread partner([&] {
-    for (int r = 0; r < 100; ++r) barrier.arrive_and_wait();
-  });
-  for (int r = 0; r < 100; ++r) barrier.arrive_and_wait();
-  partner.join();
-  EXPECT_EQ(barrier.generation(), 100u);
-}
 
 TEST(ThreadPoolTest, RejectsZeroThreads) {
   EXPECT_THROW(FixedThreadPool({.n_threads = 0}), ContractError);

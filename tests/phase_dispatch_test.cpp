@@ -43,26 +43,44 @@ TEST_P(PhaseDispatch, EveryItemRunsExactlyOnce) {
 }
 
 TEST_P(PhaseDispatch, ThrowingItemSurfacesAfterEveryItemRan) {
+  // Either item 5 alone throws, or every item throws its own message; the
+  // rethrown message is then exactly one item's whole message.  The messages
+  // outgrow the small-string buffer, so two items both writing the phase's
+  // error would tear it (and race under tsan).
+  const auto message = [](int item) {
+    return "item " + std::to_string(item) + " of the every-item-throws phase broke";
+  };
+  const std::string prefix = "phase item failed: ";
   FixedThreadPool pool(config(3));
   for (const bool caller_runs : {true, false}) {
-    std::atomic<int> ran{0};
-    try {
-      pool.run_phase(
-          16,
-          [&](int item) {
-            ran.fetch_add(1);
-            if (item == 5) throw std::runtime_error("item five broke");
-          },
-          caller_runs);
-      FAIL() << "a throwing item must not be swallowed";
-    } catch (const ContractError& e) {
-      EXPECT_NE(std::string(e.what()).find("item five broke"), std::string::npos) << e.what();
+    for (const bool every : {false, true}) {
+      const int n = every ? 64 : 16;
+      std::atomic<int> ran{0};
+      try {
+        pool.run_phase(
+            n,
+            [&](int item) {
+              ran.fetch_add(1);
+              if (every) throw std::runtime_error(message(item));
+              if (item == 5) throw std::runtime_error("item five broke");
+            },
+            caller_runs);
+        FAIL() << "a throwing item must not be swallowed";
+      } catch (const ContractError& e) {
+        const std::string what = e.what();
+        const std::size_t at = what.find(prefix);
+        ASSERT_NE(at, std::string::npos) << what;
+        const std::string got = what.substr(at + prefix.size());
+        bool whole = !every && got == "item five broke";
+        for (int item = 0; every && item < n; ++item) whole = whole || got == message(item);
+        EXPECT_TRUE(whole) << what;
+      }
+      EXPECT_EQ(ran.load(), n);
+      // The pool keeps serving phases after a failure.
+      std::atomic<int> after{0};
+      pool.run_phase(8, [&](int) { after.fetch_add(1); }, caller_runs);
+      EXPECT_EQ(after.load(), 8);
     }
-    EXPECT_EQ(ran.load(), 16);
-    // The pool keeps serving phases after a failure.
-    std::atomic<int> after{0};
-    pool.run_phase(8, [&](int) { after.fetch_add(1); }, caller_runs);
-    EXPECT_EQ(after.load(), 8);
   }
 }
 
