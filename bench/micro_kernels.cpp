@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the individual substrates: force
 // kernels, neighbor rebuild, reduction, phase dispatch, the cache model and
-// the monitors.  These measure the *native* C++ code on the host,
+// the JaMON monitor.  These measure the *native* C++ code on the host,
 // complementing the simulated end-to-end benches.
 #include <benchmark/benchmark.h>
 
@@ -96,12 +96,6 @@ void BM_JamonMonitorAdd(benchmark::State& state) {
   for (auto _ : state) monitor.add("hot", 1e-6);
 }
 BENCHMARK(BM_JamonMonitorAdd);
-
-void BM_ShardedMonitorAdd(benchmark::State& state) {
-  perf::ShardedMonitor monitor(4);
-  for (auto _ : state) monitor.add(0, "hot", 1e-6);
-}
-BENCHMARK(BM_ShardedMonitorAdd);
 
 void BM_CacheModelAccess(benchmark::State& state) {
   sim::SetAssocCache cache(256 * 1024, 64, 8);

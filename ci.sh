@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI gate, eight stages: the tier-1 verify (full build with -Werror + test
+# CI gate, seven stages: the tier-1 verify (full build with -Werror + test
 # suite, including the 100k-atom RebuildScale determinism cases, the §V-A
-# LocalityClaims cases on the three Table II machines and the closed-loop
-# ServeTrafficTest cases); smoke runs of the counters/report and planner
-# emitters, of the mwx_serve CLI and of the repository benchmark
-# (bench/e2e); the forced-scalar preset's full suite;
+# LocalityClaims cases on the three Table II machines, the planner's
+# validated-extremes gate and the closed-loop ServeTrafficTest cases); smoke
+# runs of the counters/report emitters, of the mwx_serve CLI and of the
+# repository benchmark (bench/e2e); the forced-scalar preset's full suite;
 # the tsan preset's concurrency suites
 # (ThreadPool/TraceRing/ForChunks/Reentrancy/Serve/SceneCache/
 # RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch, and the
@@ -32,80 +32,21 @@ cmake --build --preset default --parallel "${jobs}"
 ctest --preset default -j "${jobs}"
 
 echo "== counters smoke: PMU conservation + run report =="
-# The observability gate: run a short Al-1000 workload through both backends,
-# assert the conservation law (per-phase/per-core counter domains must tile
-# the machine-global aggregates — mwx_run --check exits nonzero otherwise),
-# and exercise the mwx-report joiner end to end.  The native provider is
-# allowed to be the labelled "fallback" (perf_event_open is commonly denied
-# in containers); only an *unlabelled* or missing provider fails.
+# The observability gate: run a short Al-1000 workload through both backends
+# and join its artifacts.  mwx_run exits nonzero when the per-phase/per-core
+# counter domains fail to tile the machine-global totals (the conservation
+# law, sim::Machine::conservation_violations).  mwx-report re-verifies the
+# law from the PMU artifact's own conservation table and exits nonzero on a
+# schema_version mismatch or an unlabelled provider; the native provider may
+# be the labelled "fallback" (perf_event_open is commonly denied in
+# containers).  --plan adds the report's what-if section without validation
+# runs; the validated-extremes gate is a tier-1 test
+# (PlannerTest.AcceptanceBestAndWorstPredictionsWithin15Pct).
 cmake --build --preset default --parallel "${jobs}" --target mwx_run
 counters_dir=$(mktemp -d)
-(cd "${counters_dir}" && "${repo_root}/build/tools/mwx_run" Al-1000 200 4 --name ci --check)
+(cd "${counters_dir}" && "${repo_root}/build/tools/mwx_run" Al-1000 200 4 --name ci --plan --plan-validate none)
 python3 "${repo_root}/tools/mwx-report" --dir "${counters_dir}" --name ci
-python3 - "${counters_dir}" <<'EOF'
-import json, os, sys
-d = sys.argv[1]
-with open(os.path.join(d, "REPORT_ci.json")) as f:
-    report = json.load(f)
-assert report["schema_version"] == 2
-assert report["conservation_ok"] is True, "conservation re-verification failed"
-assert report["conservation"]["checked"], "conservation was not actually checked"
-assert len(report["conservation"]["fields"]) >= 15, "too few fields checked"
-native = report["providers"]["native"]
-if native == "perf_event":
-    print("native provider: perf_event (real hardware counters)")
-elif native == "fallback":
-    print("native provider: fallback (perf_event denied — acceptable, not a failure)")
-else:
-    raise AssertionError(f"unlabelled native provider: {native}")
-md = open(os.path.join(d, "REPORT_ci.md")).read()
-assert "Per-phase memory behaviour" in md and "Conservation" in md
-assert len(md) > 500, "markdown report suspiciously small"
-print("REPORT_ci OK: conservation holds,", len(report["summary"]), "summary metrics")
-EOF
 rm -rf "${counters_dir}"
-
-echo "== planner smoke: what-if predictions vs measured extremes =="
-# The prescriptive half of the observability stack: one instrumented Al-1000
-# run, the full machine x discipline x pinning grid ranked, and the ranked
-# extremes validated against actual simulated runs.  mwx_run --plan exits
-# nonzero itself when a validated extreme misses --plan-tol, so the tolerance
-# gate needs no re-parsing here; the python block asserts the PLAN artifact
-# schema and that mwx-report picked the plan section up.
-planner_dir=$(mktemp -d)
-(cd "${planner_dir}" && "${repo_root}/build/tools/mwx_run" Al-1000 120 4 --name plan --plan --plan-tol 15)
-python3 "${repo_root}/tools/mwx-report" --dir "${planner_dir}" --name plan
-python3 - "${planner_dir}" <<'EOF'
-import json, os, sys
-d = sys.argv[1]
-with open(os.path.join(d, "PLAN_plan.json")) as f:
-    plan = json.load(f)
-assert plan["kind"] == "plan" and plan["schema_version"] == 2
-assert plan["phase_names"]["4"] == "forces", "phase-name table missing from PLAN"
-ref = plan["reference"]
-assert ref["benchmark"] == "Al-1000" and ref["self_parallelism"] > 1.0
-tags = {(p["tag"], p["rebuild_step"]) for p in plan["profile"]}
-assert (4, False) in tags, "forces phase class missing"
-assert any(t in tags for t in [(8, True), (9, True)]), "rebuild phase classes missing"
-for p in plan["profile"]:
-    assert p["work_cycles"] >= 0 and p["self_parallelism"] >= 1.0
-configs = plan["configs"]
-assert len(configs) >= 12, f"only {len(configs)} configs ranked"
-assert [c["rank"] for c in configs] == list(range(1, len(configs) + 1))
-seconds = [c["predicted_seconds"] for c in configs]
-assert seconds == sorted(seconds), "ranking not sorted by predicted wall time"
-validated = [c for c in configs if c["validated"]]
-assert len(validated) >= 2, "ranked extremes were not validated"
-worst = max(abs(c["error_pct"]) for c in validated)
-assert worst <= plan["search"]["tolerance_pct"], f"validated error {worst:.1f}% over tolerance"
-assert plan["best"] == configs[0]["config"]
-md = open(os.path.join(d, "REPORT_plan.md")).read()
-assert "What-if plan" in md and configs[0]["config"] in md
-with open(os.path.join(d, "REPORT_plan.json")) as f:
-    assert f.read().find('"plan"') >= 0
-print(f"PLAN OK: {len(configs)} configs, {len(validated)} validated, worst error {worst:.1f}%")
-EOF
-rm -rf "${planner_dir}"
 
 echo "== serve smoke: multi-tenant scheduler CLI =="
 # The simulation-as-a-service acceptance gate at the CLI.  mwx_serve runs >=8

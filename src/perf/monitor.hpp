@@ -5,8 +5,9 @@
 // ("synchronized sections").  Section IV-A found that these synchronized
 // updates *serialized* parallel MW — the first observer effect.  The
 // monitor is kept deliberately faithful (one mutex for the whole registry)
-// so the effect is measurable; ShardedMonitor is the corrected design with
-// per-thread shards that are only merged at read time.
+// so the effect is measurable; the corrected design — per-lane records
+// merged only at read time — is perf::TraceRing (trace_ring.hpp), which
+// bench/trace_overhead measures against this monitor.
 #pragma once
 
 #include <map>
@@ -60,46 +61,6 @@ class JamonMonitor {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, RunningStats> stats_;
-};
-
-// Contention-free variant: each thread owns a shard keyed by (thread, key);
-// shards are merged only when a snapshot is requested.
-class ShardedMonitor {
- public:
-  explicit ShardedMonitor(int n_threads) : shards_(static_cast<std::size_t>(n_threads)) {}
-
-  // Records one interval from `thread` (0-based worker index).  No
-  // synchronization on the hot path.
-  void add(int thread, const std::string& key, double seconds) {
-    shards_[static_cast<std::size_t>(thread)].stats[key].add(seconds);
-  }
-
-  [[nodiscard]] std::vector<MonitorSnapshot> snapshot() const {
-    std::map<std::string, MonitorSnapshot> merged;
-    for (const auto& shard : shards_) {
-      for (const auto& [key, s] : shard.stats) {
-        auto& m = merged[key];
-        if (m.key.empty()) {
-          m = {key, s.count(), s.sum(), s.min(), s.max()};
-        } else {
-          m.hits += s.count();
-          m.total_seconds += s.sum();
-          m.min_seconds = std::min(m.min_seconds, s.min());
-          m.max_seconds = std::max(m.max_seconds, s.max());
-        }
-      }
-    }
-    std::vector<MonitorSnapshot> out;
-    out.reserve(merged.size());
-    for (auto& [key, m] : merged) out.push_back(std::move(m));
-    return out;
-  }
-
- private:
-  struct alignas(64) Shard {  // cache-line aligned to avoid false sharing
-    std::map<std::string, RunningStats> stats;
-  };
-  std::vector<Shard> shards_;
 };
 
 }  // namespace mwx::perf

@@ -589,7 +589,7 @@ std::vector<Prediction> Planner::rank(const std::vector<PlanConfig>& configs) co
 
 void write_plan_json(std::ostream& out, const std::string& name, const std::string& git_sha,
                      const RunProfile& profile, const std::vector<Prediction>& ranked,
-                     double tolerance_pct, const std::map<int, std::string>& phase_names) {
+                     const std::map<int, std::string>& phase_names) {
   const auto old_precision = out.precision(std::numeric_limits<double>::max_digits10);
   out << "{\n"
       << "  \"kind\": \"plan\",\n"
@@ -660,7 +660,7 @@ void write_plan_json(std::ostream& out, const std::string& name, const std::stri
   int validated = 0;
   for (const auto& pr : ranked) validated += pr.validated ? 1 : 0;
   out << "  \"search\": {\"n_configs\": " << ranked.size() << ", \"validated\": " << validated
-      << ", \"tolerance_pct\": " << tolerance_pct << "},\n";
+      << ", \"tolerance_pct\": " << kPlanTolerancePct << "},\n";
   out << "  \"best\": \"" << (ranked.empty() ? "" : ranked.front().config.label()) << "\"\n";
   out << "}\n";
   out.precision(old_precision);

@@ -184,12 +184,16 @@ class Planner {
   double migrations_per_phase_thread_ = 0.0;  // measured OS migration rate
 };
 
+// The gate on validated extremes: the best- and worst-ranked predictions
+// must land within this many percent of their simulated wall time
+// (mwx_run --plan, PlannerTest.AcceptanceBestAndWorstPredictionsWithin15Pct).
+inline constexpr double kPlanTolerancePct = 15.0;
+
 // PLAN_<name>.json: schema-versioned what-if report — run profile summary,
 // ranked configurations with predicted (and, where validated, measured) wall
-// times, and the phase-name table.  `tolerance_pct` is the gate the CI
-// planner-smoke stage asserts on validated extremes.
+// times, the phase-name table, and kPlanTolerancePct as search.tolerance_pct.
 void write_plan_json(std::ostream& out, const std::string& name, const std::string& git_sha,
                      const RunProfile& profile, const std::vector<Prediction>& ranked,
-                     double tolerance_pct, const std::map<int, std::string>& phase_names);
+                     const std::map<int, std::string>& phase_names);
 
 }  // namespace mwx::perf

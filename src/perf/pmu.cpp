@@ -1,5 +1,7 @@
 #include "perf/pmu.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <ostream>
 
@@ -40,6 +42,48 @@ const char* counter_name(Counter c) {
     case Counter::kCount: break;
   }
   return "unknown";
+}
+
+Conservation conservation_rule(Counter c) {
+  switch (c) {
+    case Counter::kDramQueueCycles:
+    case Counter::kStealOverheadCycles:
+    case Counter::kNoiseStallCycles:
+    case Counter::kQueueWaitCycles:
+    case Counter::kMonitorWaitCycles:
+    case Counter::kBarrierWaitCycles:
+      return Conservation::kTolerance;
+    case Counter::kBusyCycles:
+    case Counter::kTasks:
+      return Conservation::kNone;
+    default:
+      return Conservation::kExact;
+  }
+}
+
+const char* conservation_rule_name(Conservation r) {
+  switch (r) {
+    case Conservation::kExact: return "exact";
+    case Conservation::kTolerance: return "tolerance";
+    case Conservation::kNone: return "none";
+  }
+  return "unknown";
+}
+
+std::vector<Counter> conservation_violations(const CounterSet& domains, const CounterSet& total) {
+  std::vector<Counter> out;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const auto c = static_cast<Counter>(i);
+    const double d = domains.v[i];
+    const double t = total.v[i];
+    const Conservation rule = conservation_rule(c);
+    const bool ok =
+        rule == Conservation::kNone || d == t ||
+        (rule == Conservation::kTolerance &&
+         std::fabs(d - t) <= kConservationRelTol * std::max({std::fabs(d), std::fabs(t), 1.0}));
+    if (!ok) out.push_back(c);
+  }
+  return out;
 }
 
 const char* build_git_sha() {
@@ -156,6 +200,14 @@ void PmuReport::write_json(std::ostream& out, const std::string& name,
   if (machine_total != nullptr) {
     out << ",\n  \"machine_total\": ";
     write_counter_object(out, *machine_total, "  ");
+    out << ",\n  \"conservation\": {\n    \"rel_tol\": " << kConservationRelTol
+        << ",\n    \"rules\": {";
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+      const auto c = static_cast<Counter>(i);
+      out << (i == 0 ? "\n" : ",\n") << "      \"" << counter_name(c) << "\": \""
+          << conservation_rule_name(conservation_rule(c)) << "\"";
+    }
+    out << "\n    }\n  }";
   }
   out << "\n}\n";
   out.precision(old_precision);

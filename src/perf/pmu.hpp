@@ -71,6 +71,20 @@ inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kC
 // Snake-case stable name, used as the JSON key ("l2_misses", ...).
 [[nodiscard]] const char* counter_name(Counter c);
 
+// The conservation law (DESIGN §9): how a provider's (phase, lane) domains,
+// summed, must relate to its machine-global total, per counter.
+enum class Conservation : int {
+  kExact,      // event counts: the sum equals the total
+  kTolerance,  // cycle sums: equal up to floating-point association order
+  kNone,       // busy_cycles, tasks: folded in from the event log, no total
+};
+
+[[nodiscard]] Conservation conservation_rule(Counter c);
+[[nodiscard]] const char* conservation_rule_name(Conservation r);  // "exact", ...
+
+// Relative tolerance of the kTolerance counters.
+inline constexpr double kConservationRelTol = 1e-9;
+
 // A bundle of counter values for one attribution domain.
 struct CounterSet {
   std::array<double, kNumCounters> v{};
@@ -106,6 +120,11 @@ struct CounterSet {
   }
 };
 
+// The counters whose summed domains break their conservation rule against
+// the machine-global total, in Counter order; empty when the law holds.
+[[nodiscard]] std::vector<Counter> conservation_violations(const CounterSet& domains,
+                                                           const CounterSet& total);
+
 // Attribution key: which lane (core or worker thread), during which engine
 // phase.  -1 means "all" on either axis.
 struct PmuDomain {
@@ -140,7 +159,8 @@ class PmuReport {
   // PMU_<name>.json: schema_version/git_sha identity header, provider,
   // lane_kind, per-phase per-lane counter objects, per-phase and grand
   // totals, and (when `machine_total` is non-null) the provider's own
-  // machine-global aggregate so consumers can re-verify conservation.
+  // machine-global aggregate plus the conservation table (rule per counter,
+  // kConservationRelTol) so consumers re-verify the law without a copy of it.
   void write_json(std::ostream& out, const std::string& name, const std::string& git_sha,
                   const CounterSet* machine_total = nullptr) const;
 

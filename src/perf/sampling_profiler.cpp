@@ -1,7 +1,6 @@
 #include "perf/sampling_profiler.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/require.hpp"
@@ -74,65 +73,6 @@ long long count_false_windows(const EventLog& log, int thread, double period_sec
     if (agreement < truth_fraction) ++false_windows;
   }
   return false_windows;
-}
-
-SamplingProfiler::SamplingProfiler(Probe probe, double period_seconds)
-    : probe_(std::move(probe)), period_seconds_(period_seconds) {
-  require(period_seconds_ > 0.0, "sampling period must be positive");
-  require(static_cast<bool>(probe_), "sampling profiler needs a probe");
-}
-
-SamplingProfiler::~SamplingProfiler() { stop(); }
-
-void SamplingProfiler::start() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  require(!running_, "sampling profiler already running");
-  stop_requested_ = false;
-  running_ = true;
-  lk.unlock();
-  thread_ = std::thread([this] { run(); });
-}
-
-void SamplingProfiler::stop() {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (!running_) return;
-    stop_requested_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  std::lock_guard<std::mutex> lk(mutex_);
-  running_ = false;
-}
-
-bool SamplingProfiler::running() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return running_;
-}
-
-std::vector<SamplingProfiler::Sample> SamplingProfiler::samples() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return samples_;
-}
-
-void SamplingProfiler::clear() {
-  std::lock_guard<std::mutex> lk(mutex_);
-  samples_.clear();
-}
-
-void SamplingProfiler::run() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  while (!stop_requested_) {
-    const auto wait = std::chrono::duration<double>(period_seconds_);
-    if (cv_.wait_for(lk, wait, [this] { return stop_requested_; })) break;
-    // Probe outside the lock: a slow probe must never block samples() or
-    // stop() callers, only delay its own next sample.
-    lk.unlock();
-    const double value = probe_();
-    const double t = clock_.elapsed_seconds();
-    lk.lock();
-    samples_.push_back({t, value});
-  }
 }
 
 }  // namespace mwx::perf

@@ -7,14 +7,9 @@
 // display the sampled state until the next sample" — i.e. sample-and-hold.
 #pragma once
 
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "perf/event_log.hpp"
-#include "perf/scoped_timer.hpp"
 
 namespace mwx::perf {
 
@@ -51,56 +46,5 @@ SamplingReport sample(const EventLog& log, double period_seconds, double offset 
 // state for less than `truth_fraction` of the window.
 long long count_false_windows(const EventLog& log, int thread, double period_seconds,
                               double truth_fraction = 0.5, double offset = 0.0);
-
-// A real periodic sampler — the runtime companion of the model above.  A
-// background thread invokes `probe` every `period_seconds` and stores the
-// timestamped result; the PMU layer uses it for mid-run counter snapshots.
-// It inherits the paper's Section IV lesson about measurement tools: the
-// probe must never block the threads it observes, so probes should read only
-// lock-free state (pool statistics, TraceRing heads, the calling thread's
-// own ThreadPmu counters) — and the sampled subject is allowed to die under
-// the sampler (e.g. a pool shutting down mid-window) as long as the probe
-// itself stays callable, which pool statistics accessors are.
-class SamplingProfiler {
- public:
-  using Probe = std::function<double()>;
-
-  struct Sample {
-    double t_seconds = 0.0;  // since profiler construction
-    double value = 0.0;
-  };
-
-  // Throws ContractError unless period_seconds > 0 and probe is callable.
-  SamplingProfiler(Probe probe, double period_seconds);
-  // Implies stop().
-  ~SamplingProfiler();
-
-  SamplingProfiler(const SamplingProfiler&) = delete;
-  SamplingProfiler& operator=(const SamplingProfiler&) = delete;
-
-  // Launches the sampling thread.  Throws ContractError if already running;
-  // restarting after stop() is supported and appends to samples().
-  void start();
-  // Joins the sampling thread.  Idempotent, and harmless before the first
-  // start().
-  void stop();
-
-  [[nodiscard]] bool running() const;
-  [[nodiscard]] std::vector<Sample> samples() const;
-  void clear();
-
- private:
-  void run();
-
-  Probe probe_;
-  double period_seconds_;
-  StopWatch clock_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::thread thread_;
-  bool stop_requested_ = false;
-  bool running_ = false;
-  std::vector<Sample> samples_;
-};
 
 }  // namespace mwx::perf

@@ -11,7 +11,7 @@
 //     release store of the lane head; cost is a handful of MOVs;
 //   * readers never stop the writers: snapshot() copies each lane, re-reads
 //     the head, and discards any slot the writer may have been overwriting
-//     mid-copy (merge-at-read, the ShardedMonitor idea applied to events);
+//     mid-copy (lanes are merged only at read time);
 //   * bounded memory: when a lane wraps, the oldest events are dropped and
 //     *counted* — the layer degrades by forgetting history, never by
 //     applying backpressure to the traced code.

@@ -157,11 +157,6 @@ BatchScheduler::Stats BatchScheduler::stats() const {
   return stats_;
 }
 
-std::vector<double> BatchScheduler::shard_costs() const {
-  std::lock_guard lock(mutex_);
-  return shard_cost_;
-}
-
 bool BatchScheduler::pick_job_locked(Dispatch* out) {
   Tenant* tenant = nullptr;
   std::deque<QueuedJob>::iterator pos;

@@ -161,9 +161,6 @@ class BatchScheduler {
   [[nodiscard]] SceneCache& scene_cache() { return cache_; }
   [[nodiscard]] const SchedulerConfig& config() const { return config_; }
 
-  // Outstanding dispatched cost per shard (test observability).
-  [[nodiscard]] std::vector<double> shard_costs() const;
-
  private:
   // A queued job, and for a continuation the engine it was preempted from,
   // parked until its next dispatch (null before the first).

@@ -598,6 +598,14 @@ MachineCounters Machine::core_counters(int core) const {
   return sum;
 }
 
+std::vector<perf::Counter> Machine::conservation_violations() const {
+  MachineCounters sum;
+  for (const auto& [tag, row] : phase_core_) {
+    for (const auto& cell : row) sum += cell;
+  }
+  return perf::conservation_violations(to_counter_set(sum), to_counter_set(counters()));
+}
+
 perf::CounterSet to_counter_set(const MachineCounters& m) {
   using perf::Counter;
   perf::CounterSet c;

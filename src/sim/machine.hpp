@@ -150,11 +150,14 @@ class Machine {
   // steals and barrier waits can be attributed to "which core, during which
   // engine phase".  By construction the domains tile the machine-global
   // counters: summing any field over all tags and cores reproduces
-  // counters() (cache-level stats up to floating-point accumulation order
-  // for the cycle-valued fields) — the conservation law the counters-smoke
-  // CI stage enforces.
+  // counters() (exactly for event counts, up to floating-point accumulation
+  // order for the cycle-valued fields) — the conservation law.
   // Phase tags seen since the last reset_counters(), ascending.
   [[nodiscard]] std::vector<int> counter_phases() const;
+  // The law's one check: to_counter_set of the summed domains against
+  // to_counter_set(counters()) under perf::conservation_rule.  Returns the
+  // violating counters; empty when the domains tile the totals.
+  [[nodiscard]] std::vector<perf::Counter> conservation_violations() const;
   // One domain cell; zeroes when (tag, core) was never touched.
   [[nodiscard]] MachineCounters phase_core_counters(int phase_tag, int core) const;
   [[nodiscard]] MachineCounters phase_counters(int phase_tag) const;  // sum over cores

@@ -40,37 +40,6 @@ TEST(JamonMonitorTest, ThreadSafeUnderContention) {
   EXPECT_EQ(m.total_hits(), 4000);
 }
 
-TEST(ShardedMonitorTest, MergesShardsOnSnapshot) {
-  ShardedMonitor m(3);
-  m.add(0, "k", 1.0);
-  m.add(1, "k", 2.0);
-  m.add(2, "k", 3.0);
-  m.add(1, "other", 5.0);
-  const auto snap = m.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].key, "k");
-  EXPECT_EQ(snap[0].hits, 3);
-  EXPECT_DOUBLE_EQ(snap[0].total_seconds, 6.0);
-  EXPECT_DOUBLE_EQ(snap[0].min_seconds, 1.0);
-  EXPECT_DOUBLE_EQ(snap[0].max_seconds, 3.0);
-}
-
-TEST(ShardedMonitorTest, MatchesJamonTotals) {
-  JamonMonitor jamon;
-  ShardedMonitor sharded(2);
-  for (int i = 0; i < 50; ++i) {
-    const double v = 0.01 * i;
-    jamon.add("x", v);
-    sharded.add(i % 2, "x", v);
-  }
-  const auto a = jamon.snapshot();
-  const auto b = sharded.snapshot();
-  ASSERT_EQ(a.size(), 1u);
-  ASSERT_EQ(b.size(), 1u);
-  EXPECT_EQ(a[0].hits, b[0].hits);
-  EXPECT_NEAR(a[0].total_seconds, b[0].total_seconds, 1e-12);
-}
-
 TEST(EventLogTest, RecordsAndSpans) {
   EventLog log(2);
   log.record(0, 1, 0.0, 1.0);

@@ -1,21 +1,18 @@
-// Tests of the unified PMU layer: CounterSet/PmuReport vocabulary, the sim
-// provider's per-core/per-phase attribution and its conservation law, the
-// native perf_event/fallback provider, the engine wiring (including the
-// "counters must not perturb physics" guarantee and the lane checks against
-// the pool actually used), and the SamplingProfiler.
+// Tests of the unified PMU layer: CounterSet/PmuReport vocabulary, the
+// conservation table and the sim provider's per-core/per-phase attribution
+// under it, the native perf_event/fallback provider, and the engine wiring
+// (including the "counters must not perturb physics" guarantee and the lane
+// checks against the pool actually used).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <sstream>
-#include <thread>
+#include <string>
 
 #include "md/engine.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perf/native_pmu.hpp"
 #include "perf/pmu.hpp"
-#include "perf/sampling_profiler.hpp"
 #include "sim/machine.hpp"
 #include "topo/machine_spec.hpp"
 #include "workloads/workloads.hpp"
@@ -54,6 +51,24 @@ TEST(CounterSetTest, EveryCounterHasAStableName) {
   for (std::size_t i = 0; i < kNumCounters; ++i) {
     EXPECT_STRNE(counter_name(static_cast<Counter>(i)), "unknown") << "counter " << i;
   }
+}
+
+TEST(ConservationTest, ViolationsNameExactlyTheBrokenCounters) {
+  CounterSet total, domains;
+  total[Counter::kL1Misses] = 100.0;
+  total[Counter::kDramQueueCycles] = 1e12;
+  domains = total;
+  domains[Counter::kDramQueueCycles] += 1.0;  // association-order noise
+  domains[Counter::kTasks] = 8.0;             // event-log counters have no
+  domains[Counter::kBusyCycles] = 1e6;        // machine-global twin
+  EXPECT_TRUE(conservation_violations(domains, total).empty());
+
+  domains[Counter::kL1Misses] = 99.0;
+  domains[Counter::kDramQueueCycles] = 0.5e12;
+  domains[Counter::kDramRemoteFetches] = 1.0;
+  EXPECT_EQ(conservation_violations(domains, total),
+            (std::vector<Counter>{Counter::kL1Misses, Counter::kDramRemoteFetches,
+                                  Counter::kDramQueueCycles}));
 }
 
 TEST(PmuReportTest, TotalsAcrossAxes) {
@@ -97,8 +112,22 @@ TEST(PmuReportTest, JsonCarriesIdentityAndConservationAggregate) {
   EXPECT_NE(json.find("\"lane_kind\": \"core\""), std::string::npos);
   EXPECT_NE(json.find("\"machine_total\""), std::string::npos);
   EXPECT_NE(json.find("\"l2_misses\": 42"), std::string::npos);
+  // The conservation table rides next to machine_total, one rule per counter.
+  const std::size_t table = json.find("\"conservation\"");
+  ASSERT_NE(table, std::string::npos);
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const auto c = static_cast<Counter>(i);
+    const std::string rule = std::string("\"") + counter_name(c) + "\": \"" +
+                             conservation_rule_name(conservation_rule(c)) + "\"";
+    EXPECT_NE(json.find(rule, table), std::string::npos) << rule;
+  }
   // Zero suppression: untouched counters stay out of the cells.
-  EXPECT_EQ(json.find("\"l1_misses\""), std::string::npos);
+  EXPECT_EQ(json.substr(0, table).find("\"l1_misses\""), std::string::npos);
+
+  // Without machine_total (the native provider) there is nothing to tile.
+  std::ostringstream native;
+  r.write_json(native, "unit", "abc123");
+  EXPECT_EQ(native.str().find("\"conservation\""), std::string::npos);
 }
 
 TEST(PmuTest, BuildShaNeverEmpty) { EXPECT_STRNE(build_git_sha(), ""); }
@@ -138,36 +167,13 @@ PhaseWork busy_phase(int tag, int n_tasks, Assignment a) {
   return w;
 }
 
+// The conservation law through its one check; names the broken counters.
 void expect_conserved(const Machine& machine) {
-  MachineCounters sum;
-  for (int tag : machine.counter_phases()) sum += machine.phase_counters(tag);
-  const MachineCounters& g = machine.counters();
-
-  // Event counts are integers: conservation must be exact.
-  EXPECT_EQ(g.l1.hits, sum.l1.hits);
-  EXPECT_EQ(g.l1.misses, sum.l1.misses);
-  EXPECT_EQ(g.l1.dirty_evictions, sum.l1.dirty_evictions);
-  EXPECT_EQ(g.l2.hits, sum.l2.hits);
-  EXPECT_EQ(g.l2.misses, sum.l2.misses);
-  EXPECT_EQ(g.l2.dirty_evictions, sum.l2.dirty_evictions);
-  EXPECT_EQ(g.l3.hits, sum.l3.hits);
-  EXPECT_EQ(g.l3.misses, sum.l3.misses);
-  EXPECT_EQ(g.l3.dirty_evictions, sum.l3.dirty_evictions);
-  EXPECT_EQ(g.dram_line_fetches, sum.dram_line_fetches);
-  EXPECT_EQ(g.dram_writebacks, sum.dram_writebacks);
-  EXPECT_EQ(g.migrations, sum.migrations);
-  EXPECT_EQ(g.steals, sum.steals);
-  // Cycle-valued fields accumulate in a different order globally than summed
-  // by domain; only floating-point association error is tolerated.
-  const auto near = [](double a, double b) {
-    return std::abs(a - b) <= 1e-9 * std::max({std::abs(a), std::abs(b), 1.0});
-  };
-  EXPECT_PRED2(near, g.dram_queue_cycles, sum.dram_queue_cycles);
-  EXPECT_PRED2(near, g.steal_overhead_cycles, sum.steal_overhead_cycles);
-  EXPECT_PRED2(near, g.noise_stall_cycles, sum.noise_stall_cycles);
-  EXPECT_PRED2(near, g.queue_wait_cycles, sum.queue_wait_cycles);
-  EXPECT_PRED2(near, g.monitor_wait_cycles, sum.monitor_wait_cycles);
-  EXPECT_PRED2(near, g.barrier_wait_cycles, sum.barrier_wait_cycles);
+  std::vector<std::string> broken;
+  for (const perf::Counter c : machine.conservation_violations()) {
+    broken.emplace_back(perf::counter_name(c));
+  }
+  EXPECT_EQ(broken, std::vector<std::string>{});
 }
 
 TEST(SimPmuTest, ConservationHoldsAcrossDisciplines) {
@@ -194,6 +200,33 @@ TEST(SimPmuTest, ConservationHoldsWithMonitorContention) {
   for (auto& t : w.tasks) t.monitor_updates = 8;
   m.run_phase(w);
   EXPECT_GT(m.counters().monitor_wait_cycles, 0.0);
+  expect_conserved(m);
+}
+
+// Remote fetches exist only on a multi-package model: the X7560 with every
+// line homed on package 0 and one worker pinned to each package's first PU.
+TEST(SimPmuTest, ConservationHoldsForRemoteFetchesAcrossPackages) {
+  MachineConfig c = machine_config(4);
+  c.spec = topo::xeon_x7560_4s();
+  c.spec.memory.home_package = 0;
+  ASSERT_EQ(c.spec.packages, 4);
+  for (int pkg = 0; pkg < c.spec.packages; ++pkg) {
+    for (int pu = 0; pu < c.spec.n_pus(); ++pu) {
+      if (c.spec.pu_to_package(pu) == pkg) {
+        c.pin_masks.push_back(topo::CpuSet::of({pu}));
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(c.pin_masks.size(), 4u);
+  Machine m(c);
+  for (int rep = 0; rep < 2; ++rep) {
+    m.run_phase(busy_phase(1, 16, Assignment::Static));
+    m.run_phase(busy_phase(4, 32, Assignment::WorkStealing));
+  }
+  const MachineCounters& g = m.counters();
+  EXPECT_GT(g.dram_remote_fetches, 0);
+  EXPECT_LT(g.dram_remote_fetches, g.dram_line_fetches);  // package 0 is local
   expect_conserved(m);
 }
 
@@ -474,85 +507,3 @@ TEST(EngineLanesTest, InstrumentationSizedForPoolNotForEngineThreads) {
 
 }  // namespace
 }  // namespace mwx::md
-
-namespace mwx::perf {
-namespace {
-
-// --- SamplingProfiler edge cases ---------------------------------------------
-
-TEST(SamplingProfilerTest, RejectsBadConstruction) {
-  const auto probe = [] { return 1.0; };
-  EXPECT_THROW(SamplingProfiler(probe, 0.0), ContractError);
-  EXPECT_THROW(SamplingProfiler(probe, -0.5), ContractError);
-  EXPECT_THROW(SamplingProfiler(nullptr, 0.01), ContractError);
-}
-
-TEST(SamplingProfilerTest, StopBeforeStartIsHarmless) {
-  SamplingProfiler p([] { return 0.0; }, 0.01);
-  p.stop();
-  p.stop();
-  EXPECT_FALSE(p.running());
-  EXPECT_TRUE(p.samples().empty());
-}
-
-TEST(SamplingProfilerTest, DoubleStartRejectedRestartSupported) {
-  std::atomic<int> calls{0};
-  SamplingProfiler p([&calls] { return static_cast<double>(calls.fetch_add(1)); }, 0.001);
-  p.start();
-  EXPECT_TRUE(p.running());
-  EXPECT_THROW(p.start(), ContractError);
-  while (calls.load() < 3) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  p.stop();
-  EXPECT_FALSE(p.running());
-  const std::size_t first_run = p.samples().size();
-  EXPECT_GE(first_run, 3u);
-
-  p.start();  // restart appends
-  while (calls.load() < static_cast<int>(first_run) + 2) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  p.stop();
-  EXPECT_GT(p.samples().size(), first_run);
-
-  p.clear();
-  EXPECT_TRUE(p.samples().empty());
-}
-
-TEST(SamplingProfilerTest, SamplesCarryMonotonicTimestamps) {
-  SamplingProfiler p([] { return 42.0; }, 0.001);
-  p.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  p.stop();
-  const auto samples = p.samples();
-  ASSERT_FALSE(samples.empty());
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].t_seconds, samples[i - 1].t_seconds);
-    EXPECT_DOUBLE_EQ(samples[i].value, 42.0);
-  }
-}
-
-TEST(SamplingProfilerTest, SurvivesPoolShutdownMidWindow) {
-  // The sampled subject dies under the sampler: the pool shuts down while
-  // the profiler keeps probing its (still-valid) statistics accessors.
-  auto pool = std::make_unique<parallel::FixedThreadPool>(parallel::ThreadPoolConfig{
-      .n_threads = 2, .queue_mode = parallel::QueueMode::WorkStealing});
-  parallel::FixedThreadPool* raw = pool.get();
-  SamplingProfiler p([raw] { return static_cast<double>(raw->steals()); }, 0.001);
-  p.start();
-  pool->run_phase(
-      64,
-      [](int) {
-        volatile int x = 0;
-        for (int j = 0; j < 10000; ++j) x = x + j;
-      },
-      /*caller_runs=*/false);
-  pool->shutdown();  // mid-window: the profiler is still running
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(p.running());
-  p.stop();
-  EXPECT_FALSE(p.samples().empty());
-  pool.reset();
-}
-
-}  // namespace
-}  // namespace mwx::perf

@@ -459,17 +459,8 @@ TEST(RebuildParallelTest, SimulatedBackendChargesParallelRebuildPhases) {
   EXPECT_TRUE(has(md::kPhaseNbrPrefix));
   EXPECT_TRUE(has(md::kPhaseMortonSort));
 
-  // ...and counter conservation holds across all domains (integer event
-  // counts must sum exactly to the global counters).
-  sim::MachineCounters sum;
-  for (int tag : phases) sum += machine.phase_counters(tag);
-  const sim::MachineCounters& g = machine.counters();
-  EXPECT_EQ(g.l1.hits, sum.l1.hits);
-  EXPECT_EQ(g.l1.misses, sum.l1.misses);
-  EXPECT_EQ(g.l2.misses, sum.l2.misses);
-  EXPECT_EQ(g.l3.misses, sum.l3.misses);
-  EXPECT_EQ(g.dram_line_fetches, sum.dram_line_fetches);
-  EXPECT_EQ(g.dram_writebacks, sum.dram_writebacks);
+  // ...and counter conservation holds across all domains.
+  EXPECT_TRUE(machine.conservation_violations().empty());
 }
 
 TEST(RebuildParallelTest, SimulatedEnergiesMatchInline) {

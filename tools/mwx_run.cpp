@@ -20,10 +20,10 @@
 // (the planner validation table of EXPERIMENTS.md).
 //
 // tools/mwx-report joins these files into the VTune-style Markdown/JSON run
-// report.  With --check the tool re-derives the sim conservation law — every
-// per-(phase, core) counter domain summed over both axes must reproduce the
-// machine-global counters — and exits nonzero on any mismatch, which is what
-// the ci.sh counters-smoke stage asserts.
+// report.  Every run checks the sim conservation law — the per-(phase, core)
+// counter domains summed over both axes must reproduce the machine-global
+// counters (sim::Machine::conservation_violations) — and exits nonzero on
+// any violation.
 //
 // The simulated run is executed from cold (no warmup/reset split): the event
 // log spans the machine's whole lifetime, so busy/task attribution and the
@@ -62,24 +62,23 @@ struct Options {
   int steps = 200;
   int threads = 4;
   std::string name;  // artifact stem; defaults to "<benchmark>_<threads>t"
-  bool check = false;
   sim::Assignment assignment = sim::Assignment::WorkStealing;
   bool plan = false;
   PlanValidate plan_validate = PlanValidate::kExtremes;
-  double plan_tol_pct = 15.0;
 };
 
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " <benchmark> <steps> <threads> [--name STEM] [--check]"
+            << " <benchmark> <steps> <threads> [--name STEM]"
                " [--assignment static|queue|steal]\n"
-               "       [--plan] [--plan-validate none|extremes|all] [--plan-tol PCT]\n"
+               "       [--plan] [--plan-validate none|extremes|all]\n"
                "  benchmark: nanocar | salt | Al-1000\n"
                "  --plan: what-if planner — profile the instrumented sim run and rank\n"
                "          every Table II machine x discipline x pinning config; writes\n"
                "          PLAN_<name>.json.  --plan-validate re-runs the chosen subset\n"
                "          of configs in the simulator and exits nonzero when the best\n"
-               "          or worst validated prediction misses by more than --plan-tol.\n";
+               "          or worst validated prediction misses by more than "
+            << perf::kPlanTolerancePct << "%.\n";
   std::exit(2);
 }
 
@@ -92,9 +91,7 @@ Options parse(int argc, char** argv) {
   if (opt.steps <= 0 || opt.threads <= 0) usage(argv[0]);
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--check") {
-      opt.check = true;
-    } else if (arg == "--name" && i + 1 < argc) {
+    if (arg == "--name" && i + 1 < argc) {
       opt.name = argv[++i];
     } else if (arg == "--assignment" && i + 1 < argc) {
       const std::string a = argv[++i];
@@ -120,8 +117,6 @@ Options parse(int argc, char** argv) {
       } else {
         usage(argv[0]);
       }
-    } else if (arg == "--plan-tol" && i + 1 < argc) {
-      opt.plan_tol_pct = std::atof(argv[++i]);
     } else {
       usage(argv[0]);
     }
@@ -141,56 +136,6 @@ md::Engine make_engine(const Options& opt) {
   // to have anything to move.
   cfg.chunks_per_thread = opt.assignment == sim::Assignment::Static ? 1 : 4;
   return md::Engine(std::move(spec.system), cfg);
-}
-
-// --- Conservation check ------------------------------------------------------
-
-int g_check_failures = 0;
-
-void check_field(const char* field, double global, double domains, bool exact) {
-  const double tol = exact ? 0.0 : 1e-6 * std::max({std::fabs(global), std::fabs(domains), 1.0});
-  if (std::fabs(global - domains) > tol) {
-    std::cerr << "CONSERVATION VIOLATION: " << field << " global=" << global
-              << " sum-of-domains=" << domains << "\n";
-    ++g_check_failures;
-  }
-}
-
-// Sums every per-(phase, core) domain and compares field-by-field with the
-// machine-global counters: integer-valued counts must match exactly; the
-// cycle-valued doubles accumulate in a different order, so they get a small
-// relative tolerance.
-void check_conservation(const sim::Machine& machine) {
-  sim::MachineCounters sum;
-  for (int tag : machine.counter_phases()) sum += machine.phase_counters(tag);
-  const sim::MachineCounters& g = machine.counters();
-
-  check_field("l1.hits", double(g.l1.hits), double(sum.l1.hits), true);
-  check_field("l1.misses", double(g.l1.misses), double(sum.l1.misses), true);
-  check_field("l1.dirty_evictions", double(g.l1.dirty_evictions),
-              double(sum.l1.dirty_evictions), true);
-  check_field("l2.hits", double(g.l2.hits), double(sum.l2.hits), true);
-  check_field("l2.misses", double(g.l2.misses), double(sum.l2.misses), true);
-  check_field("l2.dirty_evictions", double(g.l2.dirty_evictions),
-              double(sum.l2.dirty_evictions), true);
-  check_field("l3.hits", double(g.l3.hits), double(sum.l3.hits), true);
-  check_field("l3.misses", double(g.l3.misses), double(sum.l3.misses), true);
-  check_field("l3.dirty_evictions", double(g.l3.dirty_evictions),
-              double(sum.l3.dirty_evictions), true);
-  check_field("dram_line_fetches", double(g.dram_line_fetches),
-              double(sum.dram_line_fetches), true);
-  check_field("dram_remote_fetches", double(g.dram_remote_fetches),
-              double(sum.dram_remote_fetches), true);
-  check_field("dram_writebacks", double(g.dram_writebacks), double(sum.dram_writebacks), true);
-  check_field("migrations", double(g.migrations), double(sum.migrations), true);
-  check_field("steals", double(g.steals), double(sum.steals), true);
-  check_field("dram_queue_cycles", g.dram_queue_cycles, sum.dram_queue_cycles, false);
-  check_field("steal_overhead_cycles", g.steal_overhead_cycles, sum.steal_overhead_cycles,
-              false);
-  check_field("noise_stall_cycles", g.noise_stall_cycles, sum.noise_stall_cycles, false);
-  check_field("queue_wait_cycles", g.queue_wait_cycles, sum.queue_wait_cycles, false);
-  check_field("monitor_wait_cycles", g.monitor_wait_cycles, sum.monitor_wait_cycles, false);
-  check_field("barrier_wait_cycles", g.barrier_wait_cycles, sum.barrier_wait_cycles, false);
 }
 
 void write_text_file(const std::string& path, const std::string& what,
@@ -277,8 +222,7 @@ int run_planner(const Options& opt, const sim::Machine& machine, const md::Engin
   write_text_file("PLAN_" + opt.name + ".json", "what-if plan",
                   [&](std::ostream& out) {
                     perf::write_plan_json(out, opt.name, perf::build_git_sha(),
-                                          planner.profile(), ranked, opt.plan_tol_pct,
-                                          md::phase_tag_name_map());
+                                          planner.profile(), ranked, md::phase_tag_name_map());
                   });
 
   const auto& profile = planner.profile();
@@ -292,8 +236,8 @@ int run_planner(const Options& opt, const sim::Machine& machine, const md::Engin
     if (pr.validated) {
       std::cout << " measured " << pr.measured_seconds << "s error " << pr.error_pct() << "%";
       const bool extreme = i == 0 || i + 1 == ranked.size();
-      if (extreme && std::fabs(pr.error_pct()) > opt.plan_tol_pct) {
-        std::cout << "  TOLERANCE EXCEEDED (" << opt.plan_tol_pct << "%)";
+      if (extreme && std::fabs(pr.error_pct()) > perf::kPlanTolerancePct) {
+        std::cout << "  TOLERANCE EXCEEDED (" << perf::kPlanTolerancePct << "%)";
         ++failures;
       }
     }
@@ -412,25 +356,29 @@ int main(int argc, char** argv) {
   }
   std::cout << "wrote " << json.write() << " (run summary)\n";
 
+  // --- Conservation self-check ------------------------------------------------
+  const std::vector<perf::Counter> violations = machine.conservation_violations();
+  for (const perf::Counter c : violations) {
+    std::cerr << "CONSERVATION VIOLATION: " << perf::counter_name(c)
+              << " machine=" << machine_total[c]
+              << " sum-of-domains=" << sim_report.total()[c] << "\n";
+  }
+  if (!violations.empty()) {
+    std::cerr << violations.size() << " conservation failure(s)\n";
+    return 1;
+  }
+  std::cout << "conservation check passed: per-phase/per-core domains tile the "
+               "machine-global counters\n";
+
   // --- What-if planner --------------------------------------------------------
   if (opt.plan) {
     const int plan_failures = run_planner(opt, machine, sim_engine, sim_trace, sim_report);
     if (plan_failures > 0) {
-      std::cerr << plan_failures << " plan prediction(s) outside the " << opt.plan_tol_pct
-                << "% tolerance\n";
+      std::cerr << plan_failures << " plan prediction(s) outside the "
+                << perf::kPlanTolerancePct << "% tolerance\n";
       return 1;
     }
   }
 
-  // --- Conservation self-check ------------------------------------------------
-  if (opt.check) {
-    check_conservation(machine);
-    if (g_check_failures > 0) {
-      std::cerr << g_check_failures << " conservation failure(s)\n";
-      return 1;
-    }
-    std::cout << "conservation check passed: per-phase/per-core domains tile the "
-                 "machine-global counters\n";
-  }
   return 0;
 }
