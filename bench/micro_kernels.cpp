@@ -81,9 +81,9 @@ void BM_PhaseDispatch(benchmark::State& state) {
       {.n_threads = 4, .queue_mode = static_cast<parallel::QueueMode>(state.range(0))});
   long long caller_items = 0;  // written by the calling thread only
   for (auto _ : state) {
-    pool.run_phase(4, [&caller_items](int item) {
+    pool.run_phase(4, [&pool, &caller_items](int item) {
       benchmark::DoNotOptimize(item);
-      if (parallel::FixedThreadPool::current_worker() < 0) ++caller_items;
+      if (pool.worker_index() < 0) ++caller_items;
     });
   }
   state.counters["caller_share"] =

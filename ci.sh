@@ -7,8 +7,9 @@
 # repository benchmark (bench/e2e); the forced-scalar preset's full suite;
 # the tsan preset's concurrency suites
 # (ThreadPool/TraceRing/ForChunks/Reentrancy/Serve/SceneCache/
-# RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch, and the
-# engine's AllQueueModes bit-identity test), which pin the lock-free
+# RebuildParallel/StepPipeline/NeighborBuild/PhaseDispatch/EnginePmu/
+# EngineLanes, and the engine's AllQueueModes bit-identity test), which pin
+# the probe lanes the caller and the workers write concurrently, the lock-free
 # pool paths (run_phase's claim word and slot table, the spin-then-park
 # waits on the pool's wake word), the shutdown drain, the trace ring's merge-at-read protocol, the
 # chunked fan-out, the re-entrant shared-pool/serve stack, the chunked

@@ -223,52 +223,50 @@ void Engine::exec_phase(parallel::FixedThreadPool* pool, sim::Machine* machine, 
   // chain — and under WorkStealing, on a pool shared with other engines, or
   // when the caller takes it, that changes run to run — each buffer sees the
   // same floating-point addition order, and every queue discipline and every
-  // pool size reproduces the inline result bit for bit.  With a probe
-  // attached the caller only waits, so every record lands on the lane of the
-  // pool worker that ran the chain.
-  const bool probed = native_trace_ != nullptr || native_pmu_ != nullptr ||
-                      native_log_ != nullptr || native_monitor_ != nullptr;
+  // pool size reproduces the inline result bit for bit.  Probes do not change
+  // the schedule: a chain's records go to the lane of the pool worker that
+  // ran it, or, when this engine's caller ran it, to the caller's lane — the
+  // ring's external lane, where this thread also writes the Phase and Step
+  // brackets, and the accumulator's lane pool->n_threads().  Every lane keeps
+  // a single writer.
+  const int caller_trace_lane = native_trace_ != nullptr ? native_trace_->external_lane() : 0;
   std::atomic<int> n_chains{0};
-  pool->run_phase(
-      n_slots_,
-      [&](int slot) {
-        const int worker = std::max(0, parallel::FixedThreadPool::current_worker());
-        int chain_length = 0;
-        NullMem mem;
-        for (const TaskDesc& t : tasks) {
-          if (t.owner != slot) continue;
-          // Phase bracket: one counter-read pair per chain (a chain runs
-          // unbroken on one worker), charged to (worker, phase tag).
-          if (chain_length++ == 0 && native_pmu_ != nullptr) native_pmu_->task_begin();
-          const double t0 = native_clock_.elapsed_seconds();
-          const double trace0 = native_trace_ != nullptr ? native_trace_->now() : 0.0;
-          run_task(t, slot, mem);
-          const double t1 = native_clock_.elapsed_seconds();
-          if (native_trace_ != nullptr) {
-            // Same per-task repetition knob as the JaMON path below, so the
-            // observer-effect self-audit compares the two layers at equal
-            // event rates; an untouched config records one event per task.
-            const double trace1 = native_trace_->now();
-            for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
-              native_trace_->record(worker, perf::TraceKind::Task, tag, trace0, trace1, slot);
-            }
-          }
-          if (native_log_ != nullptr) {
-            native_log_->record(worker, tag, t0, t1, parallel::current_cpu());
-          }
-          if (native_monitor_ != nullptr) {
-            for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
-              native_monitor_->add("phase." + std::to_string(tag), t1 - t0);
-            }
-          }
+  pool->run_phase(n_slots_, [&](int slot) {
+    const int worker = pool->worker_index();
+    int chain_length = 0;
+    NullMem mem;
+    for (const TaskDesc& t : tasks) {
+      if (t.owner != slot) continue;
+      // Phase bracket: one counter-read pair per chain (a chain runs
+      // unbroken on one thread), charged to (lane, phase tag).
+      if (chain_length++ == 0 && native_pmu_ != nullptr) native_pmu_->task_begin();
+      const double t0 = native_clock_.elapsed_seconds();
+      const double trace0 = native_trace_ != nullptr ? native_trace_->now() : 0.0;
+      run_task(t, slot, mem);
+      const double t1 = native_clock_.elapsed_seconds();
+      if (native_trace_ != nullptr) {
+        // Same per-task repetition knob as the JaMON path below, so the
+        // observer-effect self-audit compares the two layers at equal
+        // event rates; an untouched config records one event per task.
+        const double trace1 = native_trace_->now();
+        const int lane = worker >= 0 ? worker : caller_trace_lane;
+        for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
+          native_trace_->record(lane, perf::TraceKind::Task, tag, trace0, trace1, slot);
         }
-        if (chain_length == 0) return;
-        n_chains.fetch_add(1, std::memory_order_relaxed);
-        if (native_pmu_ != nullptr) {
-          native_pmu_->task_end(worker, tag, static_cast<double>(chain_length));
+      }
+      if (native_monitor_ != nullptr) {
+        for (int m = 0; m < std::max(1, config_.monitor_updates_per_task); ++m) {
+          native_monitor_->add("phase." + std::to_string(tag), t1 - t0);
         }
-      },
-      /*caller_runs=*/!probed);
+      }
+    }
+    if (chain_length == 0) return;
+    n_chains.fetch_add(1, std::memory_order_relaxed);
+    if (native_pmu_ != nullptr) {
+      native_pmu_->task_end(worker >= 0 ? worker : pool->n_threads(), tag,
+                            static_cast<double>(chain_length));
+    }
+  });
   if (native_trace_ != nullptr) {
     // Phase bracket on the master's lane: dispatch to barrier release.
     native_trace_->record(native_trace_->external_lane(), perf::TraceKind::Phase, tag,
@@ -472,16 +470,14 @@ void Engine::run_steps(parallel::FixedThreadPool* pool, sim::Machine* machine, i
 void Engine::run_native(parallel::FixedThreadPool& pool, int n_steps) {
   // Any pool size works (the decomposition and the energy bits are fixed by
   // config.n_threads, not by the executor) — but per-engine instrumentation
-  // records into lane == executing *pool* worker, so attached rings,
-  // accumulators and logs must cover the pool actually used.  These are the
-  // engine's only lane checks: config.n_threads says nothing about which
-  // lanes get written.
+  // records into lane == executing *pool* worker, plus one lane for this
+  // caller, so attached rings and accumulators must cover the pool actually
+  // used.  One rule for both probes; these are the engine's only lane
+  // checks: config.n_threads says nothing about which lanes get written.
   require(native_trace_ == nullptr || native_trace_->n_lanes() >= pool.n_threads() + 1,
-          "trace ring needs a lane per pool worker plus one external lane");
-  require(native_pmu_ == nullptr || native_pmu_->n_workers() >= pool.n_threads(),
-          "PMU accumulator needs a lane per pool worker");
-  require(native_log_ == nullptr || native_log_->n_threads() >= pool.n_threads(),
-          "event log needs a lane per pool worker");
+          "trace ring needs a lane per pool worker plus one for the caller");
+  require(native_pmu_ == nullptr || native_pmu_->n_workers() >= pool.n_threads() + 1,
+          "PMU accumulator needs a lane per pool worker plus one for the caller");
   run_steps(&pool, nullptr, n_steps);
 }
 

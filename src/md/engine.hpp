@@ -43,7 +43,6 @@
 #include "md/system.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perf/alloc_tracker.hpp"
-#include "perf/event_log.hpp"
 #include "perf/monitor.hpp"
 #include "perf/native_pmu.hpp"
 #include "perf/scoped_timer.hpp"
@@ -178,29 +177,29 @@ class Engine {
   [[nodiscard]] perf::AllocationTracker& tracker() { return tracker_; }
   [[nodiscard]] int temp_vec3_type() const { return temp_type_; }
 
-  // Optional native-mode instrumentation.
+  // Optional native-mode instrumentation.  Probes never change the
+  // schedule: the calling thread claims chains whether or not one is
+  // attached, and the engine brackets each chain on the lane of the thread
+  // that ran it — pool worker w on lane w, this engine's caller on a lane of
+  // its own.  Lane counts are checked in run_native(), against the pool
+  // actually used: the ring and the accumulator each need a lane per pool
+  // worker plus one for the caller, whatever config.n_threads says.
   void attach_monitor(perf::JamonMonitor* monitor) { native_monitor_ = monitor; }
-  void attach_event_log(perf::EventLog* log) { native_log_ = log; }
-  // The engine is the one layer that brackets tasks: the pool only
-  // schedules and counts completion.  Lane counts are checked in
-  // run_native(), against the pool actually used — only its workers (and
-  // the external lane) are ever written, whatever config.n_threads says.
-  //
   // Lock-free trace layer (the corrected Section IV-A design): workers
-  // record Task events into lane == worker index, the master records Phase
-  // and Step brackets into the external lane.  The ring needs one lane per
-  // pool worker plus one external lane.  Per-engine, so N engines sharing a
-  // pool each carry their own ring.  When monitor_updates_per_task > 0 the
-  // engine emits that many records per task — the same call-tree depth knob
-  // the JaMON path uses — so the self-audit bench can compare the two
-  // layers at identical event rates.
+  // record Task events into lane == worker index; the caller records its own
+  // chains' Task events and the Phase and Step brackets into the external
+  // lane.  Per-engine, so N engines sharing a pool each carry their own
+  // ring.  When monitor_updates_per_task > 0 the engine emits that many
+  // records per task — the same call-tree depth knob the JaMON path uses —
+  // so the self-audit bench can compare the two layers at identical event
+  // rates.
   void attach_trace(perf::TraceRing* trace) { native_trace_ = trace; }
   // Native hardware-counter provider: each task chain is bracketed with
-  // per-thread counter reads and the delta charged to (worker, phase tag) —
-  // the native twin of the simulator's per-core per-phase attribution.
-  // Counter reads happen strictly outside run_task(), so attaching a PMU
-  // cannot perturb the physics (energies stay bit-identical).  Needs one
-  // lane per pool worker.
+  // per-thread counter reads and the delta charged to (lane, phase tag) —
+  // the native twin of the simulator's per-core per-phase attribution; the
+  // caller's chains go to lane pool.n_threads().  Counter reads happen
+  // strictly outside run_task(), so attaching a PMU cannot perturb the
+  // physics (energies stay bit-identical).
   void attach_pmu(perf::PmuAccumulator* pmu) { native_pmu_ = pmu; }
 
  private:
@@ -294,7 +293,6 @@ class Engine {
   double last_ke_ = 0.0;
   long long steps_done_ = 0;
   perf::JamonMonitor* native_monitor_ = nullptr;
-  perf::EventLog* native_log_ = nullptr;
   perf::TraceRing* native_trace_ = nullptr;
   perf::PmuAccumulator* native_pmu_ = nullptr;
   perf::StopWatch native_clock_;

@@ -189,10 +189,10 @@ bool FixedThreadPool::serve_phases(int me) {
   return ran;
 }
 
-void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body, bool caller_runs) {
+void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body) {
   if (n_items <= 0) return;
   require(!closing_.load(std::memory_order_acquire), "run_phase after shutdown");
-  const int me = t_worker_pool == this ? t_worker_index : -1;
+  const int me = worker_index();
   int s;
   while ((s = acquire_slot()) < 0) {
     if (me < 0 || !serve_phases(me)) std::this_thread::yield();
@@ -228,9 +228,7 @@ void FixedThreadPool::run_phase_erased(int n_items, PhaseFn fn, void* body, bool
   }
   wake_parked();
 
-  if (caller_runs) {
-    for (int c; (c = try_claim(slot, me)) >= 0;) run_claim(slot, c);
-  }
+  for (int c; (c = try_claim(slot, me)) >= 0;) run_claim(slot, c);
   const auto done = [&slot] { return slot.pending.load(std::memory_order_acquire) == 0; };
   if (me < 0) {
     wait_until(done);
@@ -262,6 +260,6 @@ void FixedThreadPool::shutdown() {
   }
 }
 
-int FixedThreadPool::current_worker() { return t_worker_index; }
+int FixedThreadPool::worker_index() const { return t_worker_pool == this ? t_worker_index : -1; }
 
 }  // namespace mwx::parallel

@@ -87,28 +87,29 @@ class FixedThreadPool {
   // that fits the slot's claim words (32 bits each, one word per 32
   // workers); with more items, claim u runs items u, u + U, u + 2U, ... in
   // order, so every item of a claim has the same preferred worker at any
-  // pool width.  When `caller_runs` is false the caller only waits, so every
-  // item runs on a pool worker.  A throwing item does not stop the others;
-  // once all have run, the first failure is rethrown as ContractError
-  // carrying its message.  A pool worker may call run_phase on its own pool:
-  // while it waits it serves other phases' items.  Concurrent callers each
-  // take their own slot; with every slot taken, a caller waits for one (a
-  // pool worker serves phases meanwhile).  Throws ContractError after
-  // shutdown.
+  // pool width.  The caller always claims what its discipline allows, so a
+  // phase runs one schedule whether or not its items are instrumented.  A
+  // throwing item does not stop the others; once all have run, the first
+  // failure is rethrown as ContractError carrying its message.  A pool
+  // worker may call run_phase on its own pool: while it waits it serves
+  // other phases' items.  Concurrent callers each take their own slot; with
+  // every slot taken, a caller waits for one (a pool worker serves phases
+  // meanwhile).  Throws ContractError after shutdown.
   template <typename Body>
-  void run_phase(int n_items, Body&& body, bool caller_runs = true) {
+  void run_phase(int n_items, Body&& body) {
     using Fn = std::remove_reference_t<Body>;
     run_phase_erased(
         n_items, [](void* fn, int item) { (*static_cast<Fn*>(fn))(item); },
-        const_cast<void*>(static_cast<const void*>(&body)), caller_runs);
+        const_cast<void*>(static_cast<const void*>(&body)));
   }
 
   // Stops new phases, lets the open ones finish, joins the workers.
   // Idempotent; concurrent callers all return after the join.
   void shutdown();
 
-  // Index of the calling pool worker, or -1 when called from outside.
-  static int current_worker();
+  // The calling thread's worker index in this pool, or -1 when it is not one
+  // of this pool's workers (a worker of another pool included).
+  [[nodiscard]] int worker_index() const;
 
   // Successful steals (WorkStealing mode only): phase claims taken by a
   // thread other than their preferred worker.
@@ -147,7 +148,7 @@ class FixedThreadPool {
   static constexpr int kPhaseSlots = 16;
   static_assert(kPhaseSlots <= 32, "the slot masks are 32-bit words");
 
-  void run_phase_erased(int n_items, PhaseFn fn, void* body, bool caller_runs);
+  void run_phase_erased(int n_items, PhaseFn fn, void* body);
   [[nodiscard]] int acquire_slot();
   // Claims one claim of `slot` as thread `me` (a worker index, or -1 for an
   // external caller) under the pool's discipline.  Returns the claim index,

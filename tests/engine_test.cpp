@@ -416,24 +416,6 @@ TEST(EngineTest, InPlaceModeAllocatesNoTemporaries) {
   EXPECT_EQ(eng.heap().temp_allocations(), 0);
 }
 
-TEST(EngineTest, NativeEventLogCapturesPhases) {
-  auto sys = workloads::make_lj_gas(100, 0.011, 150.0, 2);
-  Engine eng(std::move(sys), base_config(2));
-  perf::EventLog log(2);
-  eng.attach_event_log(&log);
-  parallel::FixedThreadPool pool(
-      {.n_threads = 2, .queue_mode = parallel::QueueMode::PerThread});
-  eng.run_native(pool, 3);
-  EXPECT_GE(log.total_events(), 3u * 5u);  // >= phases x steps
-  bool saw_forces = false;
-  for (int t = 0; t < 2; ++t) {
-    for (const auto& e : log.events_of(t)) {
-      if (e.tag == kPhaseForces) saw_forces = true;
-    }
-  }
-  EXPECT_TRUE(saw_forces);
-}
-
 TEST(EngineTest, NativeMonitorCollectsPhaseTimings) {
   auto sys = workloads::make_lj_gas(100, 0.011, 150.0, 2);
   Engine eng(std::move(sys), base_config(1));

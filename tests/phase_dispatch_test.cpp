@@ -2,7 +2,8 @@
 // every parallel::for_chunks pass: each item runs exactly once under every
 // queue discipline, PerThread keeps its placement, failures surface after the
 // whole phase ran, concurrent callers on one pool never see each other's
-// generations, and a pool worker may fork-join on its own pool.
+// generations, a pool worker may fork-join on its own pool, and a worker of
+// another pool is an external caller.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +14,7 @@
 
 #include "common/require.hpp"
 #include "parallel/thread_pool.hpp"
+#include "rendezvous.hpp"
 
 namespace mwx::parallel {
 namespace {
@@ -26,17 +28,12 @@ class PhaseDispatch : public ::testing::TestWithParam<QueueMode> {
 
 TEST_P(PhaseDispatch, EveryItemRunsExactlyOnce) {
   FixedThreadPool pool(config(4));
-  for (const bool caller_runs : {true, false}) {
-    for (const int n : {0, 1, 3, 64}) {
-      for (int round = 0; round < 50; ++round) {
-        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-        pool.run_phase(
-            n, [&](int item) { hits[static_cast<std::size_t>(item)].fetch_add(1); },
-            caller_runs);
-        for (int c = 0; c < n; ++c) {
-          ASSERT_EQ(hits[static_cast<std::size_t>(c)].load(), 1)
-              << "n=" << n << " item " << c << " caller_runs=" << caller_runs;
-        }
+  for (const int n : {0, 1, 3, 64}) {
+    for (int round = 0; round < 50; ++round) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      pool.run_phase(n, [&](int item) { hits[static_cast<std::size_t>(item)].fetch_add(1); });
+      for (int c = 0; c < n; ++c) {
+        ASSERT_EQ(hits[static_cast<std::size_t>(c)].load(), 1) << "n=" << n << " item " << c;
       }
     }
   }
@@ -52,35 +49,30 @@ TEST_P(PhaseDispatch, ThrowingItemSurfacesAfterEveryItemRan) {
   };
   const std::string prefix = "phase item failed: ";
   FixedThreadPool pool(config(3));
-  for (const bool caller_runs : {true, false}) {
-    for (const bool every : {false, true}) {
-      const int n = every ? 64 : 16;
-      std::atomic<int> ran{0};
-      try {
-        pool.run_phase(
-            n,
-            [&](int item) {
-              ran.fetch_add(1);
-              if (every) throw std::runtime_error(message(item));
-              if (item == 5) throw std::runtime_error("item five broke");
-            },
-            caller_runs);
-        FAIL() << "a throwing item must not be swallowed";
-      } catch (const ContractError& e) {
-        const std::string what = e.what();
-        const std::size_t at = what.find(prefix);
-        ASSERT_NE(at, std::string::npos) << what;
-        const std::string got = what.substr(at + prefix.size());
-        bool whole = !every && got == "item five broke";
-        for (int item = 0; every && item < n; ++item) whole = whole || got == message(item);
-        EXPECT_TRUE(whole) << what;
-      }
-      EXPECT_EQ(ran.load(), n);
-      // The pool keeps serving phases after a failure.
-      std::atomic<int> after{0};
-      pool.run_phase(8, [&](int) { after.fetch_add(1); }, caller_runs);
-      EXPECT_EQ(after.load(), 8);
+  for (const bool every : {false, true}) {
+    const int n = every ? 64 : 16;
+    std::atomic<int> ran{0};
+    try {
+      pool.run_phase(n, [&](int item) {
+        ran.fetch_add(1);
+        if (every) throw std::runtime_error(message(item));
+        if (item == 5) throw std::runtime_error("item five broke");
+      });
+      FAIL() << "a throwing item must not be swallowed";
+    } catch (const ContractError& e) {
+      const std::string what = e.what();
+      const std::size_t at = what.find(prefix);
+      ASSERT_NE(at, std::string::npos) << what;
+      const std::string got = what.substr(at + prefix.size());
+      bool whole = !every && got == "item five broke";
+      for (int item = 0; every && item < n; ++item) whole = whole || got == message(item);
+      EXPECT_TRUE(whole) << what;
     }
+    EXPECT_EQ(ran.load(), n);
+    // The pool keeps serving phases after a failure.
+    std::atomic<int> after{0};
+    pool.run_phase(8, [&](int) { after.fetch_add(1); });
+    EXPECT_EQ(after.load(), 8);
   }
 }
 
@@ -112,12 +104,18 @@ TEST_P(PhaseDispatch, TwoCallersIssueTenThousandPhasesEach) {
 
 TEST_P(PhaseDispatch, PoolWorkerRunsPhaseOnItsOwnPool) {
   FixedThreadPool pool(config(2));
-  // From the one item of an outer phase that only a pool worker runs.
+  // From the items of an outer phase that meet on two threads, so at least
+  // one of them is a pool worker.
   std::atomic<int> inner{0};
-  pool.run_phase(
-      1, [&](int) { pool.run_phase(8, [&](int) { inner.fetch_add(1); }); },
-      /*caller_runs=*/false);
-  EXPECT_EQ(inner.load(), 8);
+  std::atomic<int> on_workers{0};
+  Rendezvous both(2);
+  pool.run_phase(2, [&](int) {
+    both.arrive();
+    if (pool.worker_index() >= 0) on_workers.fetch_add(1);
+    pool.run_phase(8, [&](int) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(inner.load(), 16);
+  EXPECT_GE(on_workers.load(), 1);
   // From inside an outer phase whose every item forks again: under PerThread
   // each worker's inner phase needs items only the other worker may run.
   inner.store(0);
@@ -153,18 +151,13 @@ INSTANTIATE_TEST_SUITE_P(AllQueueModes, PhaseDispatch,
 
 TEST(PhaseDispatchPlacement, PerThreadKeepsItemOnWorkerModuloWidth) {
   FixedThreadPool pool({.n_threads = 3, .queue_mode = QueueMode::PerThread});
-  for (const bool caller_runs : {true, false}) {
-    for (const int n : {8, 64}) {
-      std::vector<int> worker_of(static_cast<std::size_t>(n), -2);
-      pool.run_phase(
-          n,
-          [&](int item) {
-            worker_of[static_cast<std::size_t>(item)] = FixedThreadPool::current_worker();
-          },
-          caller_runs);
-      for (int c = 0; c < n; ++c) {
-        EXPECT_EQ(worker_of[static_cast<std::size_t>(c)], c % 3) << "n=" << n << " item " << c;
-      }
+  for (const int n : {8, 64}) {
+    std::vector<int> worker_of(static_cast<std::size_t>(n), -2);
+    pool.run_phase(n, [&](int item) {
+      worker_of[static_cast<std::size_t>(item)] = pool.worker_index();
+    });
+    for (int c = 0; c < n; ++c) {
+      EXPECT_EQ(worker_of[static_cast<std::size_t>(c)], c % 3) << "n=" << n << " item " << c;
     }
   }
 }
@@ -175,40 +168,48 @@ TEST(PhaseDispatchPlacement, PoolWiderThanOneClaimWord) {
   constexpr int kWorkers = 40;
   for (const QueueMode mode : {QueueMode::Single, QueueMode::PerThread, QueueMode::WorkStealing}) {
     FixedThreadPool pool({.n_threads = kWorkers, .queue_mode = mode});
-    for (const bool caller_runs : {true, false}) {
-      for (const int n : {64, 100}) {
-        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
-        std::vector<int> worker_of(static_cast<std::size_t>(n), -2);
-        pool.run_phase(
-            n,
-            [&](int item) {
-              hits[static_cast<std::size_t>(item)].fetch_add(1);
-              worker_of[static_cast<std::size_t>(item)] = FixedThreadPool::current_worker();
-            },
-            caller_runs);
-        for (int c = 0; c < n; ++c) {
-          const auto i = static_cast<std::size_t>(c);
-          ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " item " << c;
-          if (mode == QueueMode::PerThread) {
-            EXPECT_EQ(worker_of[i], c % kWorkers) << "n=" << n << " item " << c;
-          }
+    for (const int n : {64, 100}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+      std::vector<int> worker_of(static_cast<std::size_t>(n), -2);
+      pool.run_phase(n, [&](int item) {
+        hits[static_cast<std::size_t>(item)].fetch_add(1);
+        worker_of[static_cast<std::size_t>(item)] = pool.worker_index();
+      });
+      for (int c = 0; c < n; ++c) {
+        const auto i = static_cast<std::size_t>(c);
+        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " item " << c;
+        if (mode == QueueMode::PerThread) {
+          EXPECT_EQ(worker_of[i], c % kWorkers) << "n=" << n << " item " << c;
         }
       }
     }
   }
 }
 
-TEST(PhaseDispatchPlacement, CallerThatOnlyWaitsRunsNothing) {
-  for (const QueueMode mode : {QueueMode::Single, QueueMode::WorkStealing}) {
-    FixedThreadPool pool({.n_threads = 2, .queue_mode = mode});
-    std::atomic<int> on_caller{0};
-    for (int round = 0; round < 100; ++round) {
-      pool.run_phase(
-          6, [&](int) { on_caller.fetch_add(FixedThreadPool::current_worker() < 0 ? 1 : 0); },
-          /*caller_runs=*/false);
-    }
-    EXPECT_EQ(on_caller.load(), 0);
-  }
+TEST(PhaseDispatchPlacement, WorkerOfAnotherPoolIsAnExternalCaller) {
+  // Worker 1 of pool B runs a phase on pool A: to A it is an external
+  // caller, while B still knows it as worker 1.  A's three items meet on
+  // three threads (A's two workers and the caller), so the B worker runs
+  // exactly one of them.
+  FixedThreadPool pool_a({.n_threads = 2, .queue_mode = QueueMode::Single});
+  FixedThreadPool pool_b({.n_threads = 2, .queue_mode = QueueMode::PerThread});
+  std::atomic<int> on_b_worker{0};
+  std::atomic<int> wrong{0};
+  pool_b.run_phase(2, [&](int b_item) {
+    if (b_item != 1) return;
+    const std::thread::id b_worker = std::this_thread::get_id();
+    Rendezvous all(3);
+    pool_a.run_phase(3, [&](int) {
+      all.arrive();
+      const bool on_b = std::this_thread::get_id() == b_worker;
+      on_b_worker.fetch_add(on_b ? 1 : 0);
+      const int a = pool_a.worker_index();
+      const int b = pool_b.worker_index();
+      if (on_b ? a != -1 || b != 1 : a < 0 || b != -1) wrong.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(on_b_worker.load(), 1);
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

@@ -191,7 +191,7 @@ TEST(PlannerTest, NativeTraceProfilesFromStepBrackets) {
   cfg.n_threads = 2;
   md::Engine engine(std::move(spec.system), cfg);
   parallel::FixedThreadPool pool({.n_threads = 2});
-  PmuAccumulator pmu(2);
+  PmuAccumulator pmu(3);
   TraceRing ring(3, 1 << 14);
   engine.attach_pmu(&pmu);
   engine.attach_trace(&ring);

@@ -1,13 +1,17 @@
 // Tests of the unified PMU layer: CounterSet/PmuReport vocabulary, the
 // conservation table and the sim provider's per-core/per-phase attribution
 // under it, the native perf_event/fallback provider, and the engine wiring
-// (including the "counters must not perturb physics" guarantee and the lane
-// checks against the pool actually used).
+// (including the "counters must not perturb physics" guarantee, the lane
+// checks against the pool actually used and the caller's own lane).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "md/engine.hpp"
 #include "parallel/thread_pool.hpp"
@@ -432,7 +436,7 @@ TEST(EnginePmuTest, EnergiesBitIdenticalWithAndWithoutCounters) {
   };
 
   const auto [pe_plain, ke_plain] = run(nullptr);
-  perf::PmuAccumulator acc(4);
+  perf::PmuAccumulator acc(5);
   const auto [pe_counted, ke_counted] = run(&acc);
 
   EXPECT_EQ(pe_plain, pe_counted);  // bit-identical, not just close
@@ -451,11 +455,12 @@ TEST(EnginePmuTest, EnergiesBitIdenticalWithAndWithoutCounters) {
 }
 
 // The lane check lives in run_native(), against the pool actually used:
-// a 2-lane accumulator on a 4-worker pool is rejected there.
+// a 4-lane accumulator on a 4-worker pool has no lane for the caller and is
+// rejected there.
 TEST(EnginePmuTest, RejectsUndersizedAccumulator) {
   auto sys = workloads::make_lj_gas(50, 0.01, 100.0, 1);
   Engine eng(std::move(sys), engine_config(4));
-  perf::PmuAccumulator narrow(2);
+  perf::PmuAccumulator narrow(4);
   eng.attach_pmu(&narrow);
   parallel::FixedThreadPool pool({.n_threads = 4});
   EXPECT_THROW(eng.run_native(pool, 1), ContractError);
@@ -463,11 +468,12 @@ TEST(EnginePmuTest, RejectsUndersizedAccumulator) {
   eng.run_native(pool, 1);
 }
 
-// Instrumentation is written into lanes of the pool's workers (plus the
-// external lane), never into lanes named by config.n_threads.  A 4-thread
-// engine on a 2-worker pool therefore needs a 3-lane ring and a 2-lane
+// Instrumentation is written into lanes of the pool's workers plus one lane
+// for the caller, never into lanes named by config.n_threads.  A 4-thread
+// engine on a 2-worker pool therefore needs a 3-lane ring and a 3-lane
 // accumulator, and must accept them; the same attachments on a 4-worker
-// pool are rejected before any step runs.
+// pool, and a 2-lane accumulator on the 2-worker pool, are rejected before
+// any step runs.
 TEST(EngineLanesTest, InstrumentationSizedForPoolNotForEngineThreads) {
   const auto run = [](perf::TraceRing* ring, perf::PmuAccumulator* acc, int pool_workers) {
     Engine eng(workloads::make_lj_gas(150, 0.012, 120.0, 17), engine_config(4));
@@ -481,7 +487,7 @@ TEST(EngineLanesTest, InstrumentationSizedForPoolNotForEngineThreads) {
 
   const auto [pe_plain, ke_plain] = run(nullptr, nullptr, 2);
   perf::TraceRing ring(3, 1 << 12);
-  perf::PmuAccumulator acc(2);
+  perf::PmuAccumulator acc(3);
   std::pair<double, double> counted{};
   ASSERT_NO_THROW(counted = run(&ring, &acc, 2));
   EXPECT_EQ(std::memcmp(&pe_plain, &counted.first, sizeof(double)), 0);
@@ -492,17 +498,126 @@ TEST(EngineLanesTest, InstrumentationSizedForPoolNotForEngineThreads) {
   for (const auto& m : snap.events) {
     if (m.event.kind == perf::TraceKind::Task) {
       ++tasks;
-      EXPECT_LT(m.lane, 2);
+      EXPECT_LT(m.lane, 2);  // a PerThread caller claims no chain
     }
   }
   EXPECT_GT(tasks, 0);
   EXPECT_GT(acc.report().phase_total(kPhaseForces)[perf::Counter::kTasks], 0.0);
 
   perf::TraceRing narrow_ring(3, 1 << 12);
-  perf::PmuAccumulator narrow_acc(2);
+  perf::PmuAccumulator narrow_acc(3);
+  perf::PmuAccumulator no_caller_lane(2);
   EXPECT_THROW(run(&narrow_ring, nullptr, 4), ContractError);
   EXPECT_THROW(run(nullptr, &narrow_acc, 4), ContractError);
+  EXPECT_THROW(run(nullptr, &no_caller_lane, 2), ContractError);
   EXPECT_EQ(narrow_ring.total_records(), 0u);
+}
+
+// Task records per lane of a snapshot.  With one record per task, they must
+// match the accumulator's task count lane for lane.
+std::vector<double> trace_tasks_per_lane(const perf::TraceSnapshot& snap, int n_lanes) {
+  std::vector<double> tasks(static_cast<std::size_t>(n_lanes), 0.0);
+  for (const auto& m : snap.events) {
+    if (m.event.kind == perf::TraceKind::Task) tasks[static_cast<std::size_t>(m.lane)] += 1.0;
+  }
+  return tasks;
+}
+
+double pmu_tasks_of_lane(const perf::PmuReport& r, int lane) {
+  return r.lane_total(lane)[perf::Counter::kTasks];
+}
+
+// Probes do not change the schedule: the caller claims chains with a trace
+// ring and an accumulator attached, and records them on its own lane.  The
+// pool's only worker is held inside an item of another thread's phase, so
+// the engine's caller runs every chain itself: every Task record lands on
+// the ring's external lane, every task on accumulator lane 1, and the
+// energies match the inline run bit for bit.  The worker is let go after a
+// deadline, so a caller that does not claim fails the checks, not the
+// per-case timeout.
+TEST(EngineLanesTest, CallerRunsChainsOnItsOwnLane) {
+  for (const auto mode : {parallel::QueueMode::Single, parallel::QueueMode::WorkStealing}) {
+    parallel::FixedThreadPool pool({.n_threads = 1, .queue_mode = mode});
+    std::atomic<bool> held{false};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+      while (!held.load()) {
+        pool.run_phase(1, [&](int) {
+          if (pool.worker_index() != 0 || held.exchange(true)) return;
+          const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        });
+      }
+    });
+    while (!held.load()) std::this_thread::yield();
+
+    Engine eng(workloads::make_lj_gas(150, 0.012, 120.0, 17), engine_config(2));
+    perf::TraceRing ring(2, 1 << 14);
+    perf::PmuAccumulator acc(2);
+    eng.attach_trace(&ring);
+    eng.attach_pmu(&acc);
+    eng.run_native(pool, 8);
+    release.store(true);
+    holder.join();
+
+    Engine inline_eng(workloads::make_lj_gas(150, 0.012, 120.0, 17), engine_config(2));
+    inline_eng.run_inline(8);
+    const double pe = eng.potential_energy(), ke = eng.kinetic_energy();
+    const double pe_inline = inline_eng.potential_energy();
+    const double ke_inline = inline_eng.kinetic_energy();
+    EXPECT_EQ(std::memcmp(&pe, &pe_inline, sizeof(double)), 0);
+    EXPECT_EQ(std::memcmp(&ke, &ke_inline, sizeof(double)), 0);
+
+    const perf::TraceSnapshot snap = ring.snapshot();
+    ASSERT_EQ(snap.dropped, 0u);
+    const std::vector<double> trace_tasks = trace_tasks_per_lane(snap, 2);
+    EXPECT_EQ(trace_tasks[0], 0.0);
+    EXPECT_GT(trace_tasks[1], 0.0);
+    const perf::PmuReport r = acc.report();
+    EXPECT_EQ(pmu_tasks_of_lane(r, 0), 0.0);
+    EXPECT_EQ(pmu_tasks_of_lane(r, 1), r.total()[perf::Counter::kTasks]);
+    EXPECT_EQ(pmu_tasks_of_lane(r, 1), trace_tasks[1]);
+  }
+}
+
+// The same lane rule when the caller and two Single-mode workers share the
+// chains: each lane's accumulator task count matches its Task records, the
+// lanes together hold every task the phases dispatched (the JaMON monitor,
+// which has no lanes, counts one hit per task), and the energies match a
+// run without probes bit for bit.
+TEST(EngineLanesTest, SingleModeLanesAccountForEveryTask) {
+  const auto run = [](perf::TraceRing* ring, perf::PmuAccumulator* acc,
+                      perf::JamonMonitor* monitor) {
+    Engine eng(workloads::make_lj_gas(150, 0.012, 120.0, 17), engine_config(4));
+    eng.attach_trace(ring);
+    eng.attach_pmu(acc);
+    eng.attach_monitor(monitor);
+    parallel::FixedThreadPool pool({.n_threads = 2, .queue_mode = parallel::QueueMode::Single});
+    eng.run_native(pool, 8);
+    return std::pair{eng.potential_energy(), eng.kinetic_energy()};
+  };
+  const auto [pe_plain, ke_plain] = run(nullptr, nullptr, nullptr);
+  perf::TraceRing ring(3, 1 << 14);
+  perf::PmuAccumulator acc(3);
+  perf::JamonMonitor monitor;
+  const auto [pe_traced, ke_traced] = run(&ring, &acc, &monitor);
+  EXPECT_EQ(std::memcmp(&pe_plain, &pe_traced, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&ke_plain, &ke_traced, sizeof(double)), 0);
+
+  const perf::TraceSnapshot snap = ring.snapshot();
+  ASSERT_EQ(snap.dropped, 0u);
+  const std::vector<double> trace_tasks = trace_tasks_per_lane(snap, 3);
+  const perf::PmuReport r = acc.report();
+  double sum = 0.0;
+  for (int lane = 0; lane < 3; ++lane) {
+    EXPECT_EQ(pmu_tasks_of_lane(r, lane), trace_tasks[static_cast<std::size_t>(lane)])
+        << "lane " << lane;
+    sum += pmu_tasks_of_lane(r, lane);
+  }
+  EXPECT_GT(sum, 0.0);
+  EXPECT_EQ(sum, static_cast<double>(monitor.total_hits()));
 }
 
 }  // namespace

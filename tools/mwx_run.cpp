@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
 
   // --- Native backend ---------------------------------------------------------
   md::Engine native_engine = make_engine(opt);
-  perf::PmuAccumulator pmu(opt.threads);
+  perf::PmuAccumulator pmu(opt.threads + 1);  // a lane per worker plus the caller's
   perf::TraceRing native_trace(opt.threads + 1);
   native_engine.attach_pmu(&pmu);
   native_engine.attach_trace(&native_trace);
