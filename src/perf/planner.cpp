@@ -265,10 +265,11 @@ RunProfile Planner::profile_from(const TraceSnapshot& trace, const PmuReport& pm
       keys.push_back({tag, is_rebuild_tag(tag)});
     }
     // Split the tag's counters over its step classes by the *bracket wall
-    // time* each class occupied — not by task time: brackets live on the
-    // external lane, tasks on the (smaller-windowed) worker lanes, so after
-    // a ring lap a surviving bracket can have lost all its tasks.  Duration
-    // shares stay well-defined for every class the bracket window saw.
+    // time* each class occupied — not by task time: after a ring lap a
+    // surviving bracket can have lost some or all of its tasks (the worker
+    // lanes and the external lane, which holds the brackets and the caller's
+    // chains, lap at their own rates).  Duration shares stay well-defined for
+    // every class the bracket window saw.
     const double tag_seconds = tag_bracket_seconds.count(tag) ? tag_bracket_seconds[tag] : 0.0;
     for (const ClassKey& key : keys) {
       const ClassAgg a = agg.count(key) ? agg[key] : ClassAgg{};
@@ -282,10 +283,12 @@ RunProfile Planner::profile_from(const TraceSnapshot& trace, const PmuReport& pm
                           ? static_cast<long long>(std::llround(a.occ * scale))
                           : std::max<long long>(1, rp.meta.steps);
       p.work_cycles = busy * share;
-      // Chains come from the trace.  Worker lanes lap faster than the
-      // external (bracket) lane, so only brackets whose tasks survived count
-      // toward the per-occurrence span; a class that lost every task falls
-      // back to an even spread over the accumulation slots.
+      // Chains come from the trace.  Only brackets that kept at least one
+      // task count toward the per-occurrence span; a class that lost every
+      // task falls back to an even spread over the accumulation slots.  The
+      // external lane holds the caller's chains as well as the brackets, so
+      // once the ring laps a surviving bracket may keep only part of its
+      // tasks (say, only the caller's), and span and tasks read low.
       p.span_cycles =
           a.spanned_occ > 0
               ? (a.span_seconds / static_cast<double>(a.spanned_occ)) * ghz_cycles *
